@@ -24,8 +24,8 @@ def main() -> int:
     args = parser.parse_args()
 
     RESULTS.mkdir(exist_ok=True)
-    for kind, p in (("matching", 20.0), ("cf", 10.0)):
-        config = OptimizerConfig(p=p, hops=args.hops, seed=args.seed)
+    config = OptimizerConfig(hops=args.hops, seed=args.seed)
+    for kind in ("matching", "cf"):
         result = optimize_mpf(kind, args.chi, args.R, config)
         spec = spec_from_b(kind, args.chi, args.R, result.b_list)
         save_mpf_spec(spec, RESULTS / f"optimized_{kind}.mpf")

@@ -6,7 +6,8 @@ and closed-form kinds carries the node magnitudes of every drawn block
 combination raised to the full remainder order: the Taylor remainder of a
 product of blocks scaled by b_1..b_r is controlled by
 (sum_i |b_i| * g * Lambda * t)^(2*chi*R+1) / (2*chi*R+1)!, so the |b|-sum
-enters at that power, not linearly.
+enters at that power, not linearly.  A repeated block S(b t)^p counts with
+scale |b| p.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .mpf import ChildsWiebe, ClosedFormMPF, MatchingMPF, MPFSpec
+from .mpf import Layer, MPFSpec
 from .operators import Observable, QuantumState, spectral_norm
 from .schedules import suzuki_merged_count
 
@@ -28,6 +29,7 @@ __all__ = [
     "g_factor",
     "ts_bound",
     "cw_bound",
+    "zeta",
     "zeta_matching",
     "zeta_cf",
     "new_bound",
@@ -89,37 +91,31 @@ def cw_bound(chi: int, K: int, C: np.ndarray, Lambda: float, t: float) -> float:
     return (1.0 + g_factor(chi) ** n * one_norm) * (Lambda * t) ** n / math.factorial(n)
 
 
-def _weighted_scale_moment(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> float:
-    """sum over entry combinations of prod |C| times (sum |b|)^n.
+def _weighted_scale_moment(layers: tuple[Layer, ...], n: int) -> float:
+    """sum over entry combinations of prod |C| times (sum |b| power)^n.
 
-    Evaluated as n! [z^n] prod_r (sum_q |C_q^(r)| exp(|b_q^(r)| z)); the
+    Evaluated as n! [z^n] prod_layers (sum_q |C_q| exp(|b_q| power_q z)); the
     generating-function route keeps the cost polynomial where the nested sum
-    is exponential in the number of blocks.
+    is exponential in the number of layers.
     """
     inv_k = 1.0 / np.arange(1, n + 1)
     coeff = np.zeros(n + 1)
     coeff[0] = 1.0
-    for b, C in blocks:
-        terms = np.ones((len(b), n + 1))  # terms[q, k] = |b_q|^k / k!
-        terms[:, 1:] = np.cumprod(np.abs(b)[:, None] * inv_k, axis=1)
-        g = np.abs(C) @ terms
+    for layer in layers:
+        terms = np.ones((len(layer.b), n + 1))  # terms[q, k] = (|b_q| power_q)^k / k!
+        terms[:, 1:] = np.cumprod((np.abs(layer.b) * layer.power)[:, None] * inv_k, axis=1)
+        g = np.abs(layer.C) @ terms
         coeff = np.convolve(coeff, g)[: n + 1]
     return float(coeff[n]) * math.factorial(n)
 
 
-def zeta_matching(spec: MatchingMPF) -> float:
+def zeta(spec: MPFSpec) -> float:
+    """Weight-and-scale factor: the moment of every branch at order 2chiR+1, summed."""
     n = 2 * spec.chi * spec.R + 1
-    return _weighted_scale_moment([(blk.b, blk.C) for blk in spec.blocks], n)
+    return sum(_weighted_scale_moment(branch, n) for branch in spec.branches)
 
 
-def zeta_cf(spec: ClosedFormMPF) -> float:
-    n = 2 * spec.chi * spec.R + 1
-    total = 0.0
-    for r in range(1, spec.R + 1):
-        blocks = [(spec.block0.b, spec.block0.C)] * (r - 1)
-        blocks.append((spec.blocks[r - 1].b, spec.blocks[r - 1].C))
-        total += _weighted_scale_moment(blocks, n)
-    return total
+zeta_matching = zeta_cf = zeta
 
 
 def new_bound(chi: int, R: int, zeta: float, Lambda: float, t: float) -> float:
@@ -129,14 +125,16 @@ def new_bound(chi: int, R: int, zeta: float, Lambda: float, t: float) -> float:
 
 
 def bound_for(spec: MPFSpec, Lambda: float, t: float) -> float:
-    """Dispatch the right bound formula for a built spec."""
-    if isinstance(spec, ChildsWiebe):
+    """The bound formula of a built spec.
+
+    Childs-Wiebe block scales sum to one, so its bound uses the exact weight
+    1-norm rather than the generic moment (which differs in the last ulp).
+    """
+    if spec.kind == "cw":
         return cw_bound(spec.chi, spec.K, spec.C, Lambda, t)
-    if isinstance(spec, MatchingMPF):
-        return new_bound(spec.chi, spec.R, zeta_matching(spec), Lambda, t)
-    if isinstance(spec, ClosedFormMPF):
-        return new_bound(spec.chi, spec.R, zeta_cf(spec), Lambda, t)
-    raise TypeError(f"unknown MPF spec type {type(spec)!r}")
+    # One walk under two names; each kind calls its own (perfbench wraps both).
+    zeta_of = zeta_matching if spec.kind == "matching" else zeta_cf
+    return new_bound(spec.chi, spec.R, zeta_of(spec), Lambda, t)
 
 
 def depth_report(method: Method, chi: int, n_blocks: int, L: int) -> tuple[int, int]:

@@ -20,13 +20,7 @@ import numpy as np
 
 from .bounds import Method, bound_for, depth_report, resolution_shots, ts_bound
 from .ensembles import materialize
-from .mpf import (
-    ChildsWiebe,
-    IllConditionedSystemError,
-    MatchingSolveError,
-    MPFSpec,
-    cw_coefficients,
-)
+from .mpf import IllConditionedSystemError, MatchingSolveError, MPFSpec, cw_coefficients, mpf_ensemble
 from .models import MODEL_NAMES, ModelConfig, build_model
 from .operators import (
     QuantumState,
@@ -133,26 +127,29 @@ def _parse_methods(text: str) -> list[Method]:
 
 
 def _specs_for(args, methods: list[Method]) -> dict[Method, MPFSpec]:
-    """Build or load the formula specs the selected methods need."""
+    """Build or load the formula specs the selected methods need.
+
+    A spec file given as ``--matching-file`` or ``--cf-file`` must hold that
+    kind and match ``--chi``/``--reps``.
+    """
     chi, reps = args.chi, args.reps
     specs: dict[Method, MPFSpec] = {}
     if Method.CHILDS_WIEBE in methods:
         specs[Method.CHILDS_WIEBE] = cw_coefficients(chi, reps - 1)
-    if Method.MATCHING in methods:
-        if getattr(args, "matching_file", None):
-            specs[Method.MATCHING] = load_mpf_spec(args.matching_file)
-        else:
-            specs[Method.MATCHING] = spec_from_b(
-                "matching", chi, reps, default_initial_b(chi, reps, "matching")
-            )
-    if Method.CLOSED_FORM in methods:
-        if getattr(args, "cf_file", None):
-            specs[Method.CLOSED_FORM] = load_mpf_spec(args.cf_file)
-        else:
-            specs[Method.CLOSED_FORM] = spec_from_b("cf", chi, reps, default_initial_b(chi, reps, "cf"))
-    for method, spec in specs.items():
-        if spec.chi != chi or (not isinstance(spec, ChildsWiebe) and spec.R != reps):
-            raise ValueError(f"{method.value} spec file does not match --chi/--reps")
+    for method in (Method.MATCHING, Method.CLOSED_FORM):
+        if method not in methods:
+            continue
+        kind = method.value
+        path = getattr(args, f"{kind}_file", None)
+        if not path:
+            specs[method] = spec_from_b(kind, chi, reps, default_initial_b(chi, reps, kind))
+            continue
+        spec = load_mpf_spec(path)
+        if spec.kind != kind:
+            raise ValueError(f"--{kind}-file {path} holds a {spec.kind} spec, not {kind}")
+        if spec.chi != chi or spec.R != reps:
+            raise ValueError(f"{kind} spec file does not match --chi/--reps")
+        specs[method] = spec
     return specs
 
 
@@ -199,14 +196,13 @@ def _apply_config_overrides(args, argv: list[str]) -> None:
 
 
 def _print_spec(spec: MPFSpec) -> None:
-    if isinstance(spec, ChildsWiebe):
+    if spec.kind == "cw":
         print(f"kind = cw  chi = {spec.chi}  K = {spec.K}  ells = {list(spec.ells)}")
         print(f"C  = {np.array2string(spec.C, precision=12)}")
         print(f"Xi = {format_float(spec.resolution)}")
         return
-    kind = "matching" if not hasattr(spec, "block0") else "cf"
-    print(f"kind = {kind}  chi = {spec.chi}  R = {spec.R}")
-    blocks = ([spec.block0] if hasattr(spec, "block0") else []) + list(spec.blocks)
+    print(f"kind = {spec.kind}  chi = {spec.chi}  R = {spec.R}")
+    blocks = (spec.block0, *spec.blocks) if spec.kind == "cf" else spec.blocks
     for i, blk in enumerate(blocks):
         print(f"block {i}: cond = {blk.cond:.3e}  |C|_1 = {format_float(blk.one_norm)}")
         print(f"  b  = {np.array2string(blk.b, precision=10)}")
@@ -271,11 +267,7 @@ def cmd_distance(args) -> int:
     cache = SuzukiGridCache(H, args.chi, taus / lam)
     scales = [1.0 / args.reps]
     for spec in specs.values():
-        if isinstance(spec, ChildsWiebe):
-            scales += [1.0 / l for l in spec.ells]
-        else:
-            blocks = ([spec.block0] if hasattr(spec, "block0") else []) + list(spec.blocks)
-            scales += [float(b) for blk in blocks for b in blk.b]
+        scales += [b for branch in spec.branches for layer in branch for b in layer.b]
     cache.prewarm(scales, _threads())
     rows = []
     dist_series = {}
@@ -325,8 +317,6 @@ def cmd_sample(args) -> int:
         print(f"observable rescaled by {format_float(O.scale)} to satisfy norm <= 1")
     rho = QuantumState.basis(H.dim, 0)
     t = args.tau / lambda_norm(H)
-    from .mpf import mpf_ensemble
-
     ens = mpf_ensemble(spec, H.L)
     mat = materialize(ens, H, t)
     plan = resolution_shots(mat.resolution, args.epsilon, args.delta)
@@ -345,7 +335,7 @@ def cmd_optimize(args) -> int:
         raise ValueError("--kind is required (flag or [optimize] config section)")
     config = OptimizerConfig(
         loss_kind=args.loss,
-        p=args.p if args.p is not None else (20.0 if args.kind == "matching" else 10.0),
+        p=args.p,
         tau_ref=args.tau_ref,
         hops=args.hops,
         seed=args.seed,
@@ -465,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", default=None, choices=("matching", "cf"))
     p.add_argument("--chi", type=int, default=2)
     p.add_argument("--R", type=int, default=3)
-    p.add_argument("--p", type=float, default=None)
+    p.add_argument("--p", type=float, default=None, help="loss exponent (default: 20 for matching, 10 for cf)")
     p.add_argument("--tau-ref", type=float, default=0.1)
     p.add_argument(
         "--loss",

@@ -9,8 +9,8 @@ the drawn entry signs.  The construction guarantees
 
     resolution * E[sign * V] = target operator.
 
-Childs-Wiebe specs use one branch / one layer, matching specs one branch /
-R layers, closed-form specs R branches (branch r holding r layers).
+:func:`mpfsim.mpf.mpf_ensemble` builds one from a formula's canonical form:
+one ensemble branch per formula branch, one ensemble layer per formula layer.
 """
 
 from __future__ import annotations
@@ -109,20 +109,22 @@ class MaterializedEnsemble:
 
 
 def materialize(ens: SamplingEnsemble, H: HamiltonianSpec, t: float) -> MaterializedEnsemble:
+    """Evaluate every entry operator at time t, each distinct (schedule, time) once."""
+    built: dict[tuple[ExponentSchedule, float], np.ndarray] = {}
+
+    def entry_matrix(e: EnsembleEntry) -> np.ndarray:
+        key = (e.schedule, e.time_scale * t)
+        if key not in built:
+            built[key] = schedule_matrix(merge_adjacent(e.schedule), H, key[1])
+        return built[key]
+
     branches = []
     for br in ens.branches:
         probs, signs, mats = [], [], []
         for layer in br.layers:
             probs.append(np.array([e.probability for e in layer.entries]))
             signs.append(np.array([e.sign for e in layer.entries], dtype=int))
-            mats.append(
-                np.stack(
-                    [
-                        schedule_matrix(merge_adjacent(e.schedule), H, e.time_scale * t)
-                        for e in layer.entries
-                    ]
-                )
-            )
+            mats.append(np.stack([entry_matrix(e) for e in layer.entries]))
         branches.append(
             MaterializedBranch(br.probability, tuple(probs), tuple(signs), tuple(mats))
         )
@@ -148,9 +150,9 @@ def mixture_mean(mat: MaterializedEnsemble) -> np.ndarray:
 def enumerate_combos(mat: MaterializedEnsemble, cap: int = DEFAULT_COMBO_CAP):
     """Yield every (probability, sign, operator) of the full joint draw.
 
-    Exhaustive expansion of branches x per-layer entries; used by exact
-    expectation values and mixture-identity checks.  Raises when the number
-    of combinations in any branch exceeds ``cap``.
+    Exhaustive expansion of branches x per-layer entries; the brute-force
+    reference for :func:`mixture_mean` in mixture-identity checks.  Raises
+    when the number of combinations in any branch exceeds ``cap``.
     """
     for br in mat.branches:
         sizes = [len(p) for p in br.layer_probs]

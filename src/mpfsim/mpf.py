@@ -2,32 +2,40 @@
 
 A multi-product formula combines order-2chi product-formula blocks so the
 Taylor expansion of the combination matches the exact propagator to a higher
-order.  Childs-Wiebe specs sum repeated blocks ``sum_q C_q S(t/l_q)^l_q``;
-the matching kind multiplies R node blocks ``prod_r sum_q C_q^(r) S(b_q^(r) t)``
-whose target coefficient vectors are solved jointly; the closed-form kind
-sums powers of a fixed shift block against correction blocks with explicit
-coefficient vectors.
+order.  Every kind is read through one canonical form, ``spec.branches``:
+
+    sum_branches prod_layers sum_q C_q S(b_q t)^power_q
+
+Childs-Wiebe specs are one branch holding one layer of entries
+``(C_q, 1/l_q, l_q)``; matching specs are one branch whose R layers are the
+node blocks; closed-form specs are R branches, branch r being the shift
+block r-1 times followed by correction block r.  Everything downstream
+(operators, scalar series, the bound's zeta, sampling ensembles) is one walk
+over that form, so a new family only needs a constructor.
 
 Block weights ``C`` come from Vandermonde systems in the node vector ``b``;
-the resolution factor (sum / product of block 1-norms) is the sampling
-overhead each combination incurs.
+the resolution factor (sum over branches of the product of layer 1-norms) is
+the sampling overhead each combination incurs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from .ensembles import EnsembleBranch, EnsembleEntry, EnsembleLayer, SamplingEnsemble
 from .operators import HamiltonianSpec
-from .schedules import merge_adjacent, repeat_schedule, schedule_matrices, suzuki_schedule
+from .schedules import merge_adjacent, repeat_schedule, suzuki_schedule
 
 __all__ = [
     "IllConditionedSystemError",
     "MatchingSolveError",
     "LBlock",
+    "Layer",
     "ChildsWiebe",
     "MatchingMPF",
     "ClosedFormMPF",
@@ -111,7 +119,11 @@ def solve_vandermonde(b: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, float]
 
 @dataclass(frozen=True)
 class LBlock:
-    """One node block: weights C realizing target coefficients nu at nodes b."""
+    """One node block: weights C realizing target coefficients nu at nodes b.
+
+    A block is also a layer of the canonical form, every entry to the first
+    power.
+    """
 
     chi: int
     R: int
@@ -120,6 +132,10 @@ class LBlock:
     C: np.ndarray
     one_norm: float
     cond: float
+
+    @cached_property
+    def power(self) -> np.ndarray:
+        return np.ones(len(self.b), dtype=int)
 
 
 def build_lblock(chi: int, R: int, b: np.ndarray, nu: np.ndarray) -> LBlock:
@@ -133,12 +149,32 @@ def build_lblock(chi: int, R: int, b: np.ndarray, nu: np.ndarray) -> LBlock:
 
 
 @dataclass(frozen=True)
+class Layer:
+    """One layer of the canonical form: sum_q C_q S(b_q t)^power_q.
+
+    Anything with these four attributes is a layer; node blocks
+    (:class:`LBlock`) serve as layers directly.
+    """
+
+    C: np.ndarray
+    b: np.ndarray
+    power: np.ndarray
+    one_norm: float
+
+
+@dataclass(frozen=True)
 class ChildsWiebe:
     chi: int
     K: int
     ells: tuple[int, ...]
     C: np.ndarray
     resolution: float
+    kind: ClassVar[str] = "cw"
+
+    @cached_property
+    def branches(self) -> tuple[tuple[Layer, ...], ...]:
+        ells = np.array(self.ells)
+        return ((Layer(self.C, 1.0 / ells, ells, self.resolution),),)
 
 
 @dataclass(frozen=True)
@@ -147,6 +183,11 @@ class MatchingMPF:
     R: int
     blocks: tuple[LBlock, ...]
     resolution: float
+    kind: ClassVar[str] = "matching"
+
+    @cached_property
+    def branches(self) -> tuple[tuple[LBlock, ...], ...]:
+        return (self.blocks,)
 
 
 @dataclass(frozen=True)
@@ -156,6 +197,11 @@ class ClosedFormMPF:
     block0: LBlock
     blocks: tuple[LBlock, ...]
     resolution: float
+    kind: ClassVar[str] = "cf"
+
+    @cached_property
+    def branches(self) -> tuple[tuple[LBlock, ...], ...]:
+        return tuple((self.block0,) * r + (blk,) for r, blk in enumerate(self.blocks))
 
 
 MPFSpec = ChildsWiebe | MatchingMPF | ClosedFormMPF
@@ -379,11 +425,7 @@ def build_closedform(chi: int, R: int, b_list) -> ClosedFormMPF:
 
 
 # ---------------------------------------------------------------------------
-# Materialization.
-
-
-def _suzuki_cached(chi: int, L: int):
-    return merge_adjacent(suzuki_schedule(chi, L))
+# Walks over the canonical form.
 
 
 def mpf_matrix(spec: MPFSpec, H: HamiltonianSpec, t: float) -> np.ndarray:
@@ -391,138 +433,88 @@ def mpf_matrix(spec: MPFSpec, H: HamiltonianSpec, t: float) -> np.ndarray:
     return mpf_matrices(spec, H, np.array([t]))[0]
 
 
-def mpf_matrices(spec: MPFSpec, H: HamiltonianSpec, ts: np.ndarray) -> np.ndarray:
-    """Batched :func:`mpf_matrix` over a time grid, shape (B, d, d)."""
-    ts = np.asarray(ts, dtype=float)
-    sched = _suzuki_cached(spec.chi, H.L)
-    memo: dict[float, np.ndarray] = {}
+def mpf_matrices(spec: MPFSpec, H: HamiltonianSpec, ts: np.ndarray, cache=None) -> np.ndarray:
+    """Batched :func:`mpf_matrix` over a time grid, shape (B, d, d).
 
-    def smat(scale: float) -> np.ndarray:
-        if scale not in memo:
-            memo[scale] = schedule_matrices(sched, H, scale * ts)
-        return memo[scale]
+    ``cache`` maps a time scale b to the schedule matrices S(b t) over the
+    grid; pass a shared :class:`~mpfsim.sweep.SuzukiGridCache` so formulas on
+    one grid reuse each other's schedule builds.
+    """
+    if cache is None:
+        from .sweep import SuzukiGridCache  # sweep imports this module
 
-    if isinstance(spec, ChildsWiebe):
-        out = np.zeros((len(ts), H.dim, H.dim), dtype=complex)
-        for cq, ell in zip(spec.C, spec.ells):
-            power = smat(1.0 / ell)
-            acc = power
-            for _ in range(ell - 1):
-                acc = acc @ power
-            out += cq * acc
-        return out
-    if isinstance(spec, MatchingMPF):
-        out = None
-        for blk in spec.blocks:
-            block_op = np.zeros((len(ts), H.dim, H.dim), dtype=complex)
-            for cq, bq in zip(blk.C, blk.b):
-                block_op += cq * smat(float(bq))
-            out = block_op if out is None else out @ block_op
-        return out
-    if isinstance(spec, ClosedFormMPF):
-        def block_of(blk: LBlock) -> np.ndarray:
-            acc = np.zeros((len(ts), H.dim, H.dim), dtype=complex)
-            for cq, bq in zip(blk.C, blk.b):
-                acc += cq * smat(float(bq))
-            return acc
-
-        shift = block_of(spec.block0)
-        out = np.zeros((len(ts), H.dim, H.dim), dtype=complex)
-        shift_pow = np.broadcast_to(np.eye(H.dim, dtype=complex), (len(ts), H.dim, H.dim)).copy()
-        for r in range(1, spec.R + 1):
-            out += shift_pow @ block_of(spec.blocks[r - 1])
-            if r < spec.R:
-                shift_pow = shift_pow @ shift
-        return out
-    raise TypeError(f"unknown MPF spec type {type(spec)!r}")
+        cache = SuzukiGridCache(H, spec.chi, ts)
+    out = None
+    for branch in spec.branches:
+        prod = None
+        for layer in branch:
+            op = np.zeros((len(cache.ts), H.dim, H.dim), dtype=complex)
+            for cq, bq, power in zip(layer.C, layer.b, layer.power):
+                base = cache(float(bq))
+                acc = base
+                for _ in range(power - 1):
+                    acc = acc @ base
+                op += cq * acc
+            prod = op if prod is None else prod @ op
+        out = prod if out is None else out + prod
+    return out
 
 
 def scalar_series(spec: MPFSpec, order: int) -> np.ndarray:
     """Formal series of the formula with every block replaced by exact exponentials.
 
     On a single-term Hamiltonian the order-2chi schedule is exact, so the
-    formula collapses to scalar combinations of exp(b x); the returned
-    coefficients c_k (in x^k) must equal 1/k! through order 2*chi*R for any
-    valid spec.  This is the construction's independent correctness oracle.
+    formula collapses to scalar combinations of exp(b x), and S(b t)^power to
+    exp(b power x); the returned coefficients c_k (in x^k) must equal 1/k!
+    through the formula's order for any valid spec.  This is the
+    construction's independent correctness oracle.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    if isinstance(spec, ChildsWiebe):
-        out = np.zeros(order + 1)
-        for cq, ell in zip(spec.C, spec.ells):
-            factor = _exp_series(1.0 / ell, order)
-            acc = np.zeros(order + 1)
-            acc[0] = 1.0
-            for _ in range(ell):
-                acc = _poly_mul(acc, factor, order)
-            out += cq * acc
-        return out
-    if isinstance(spec, MatchingMPF):
-        out = np.zeros(order + 1)
-        out[0] = 1.0
-        for blk in spec.blocks:
-            out = _poly_mul(out, lblock_scalar_series(blk.b, blk.C, order), order)
-        return out
-    if isinstance(spec, ClosedFormMPF):
-        shift = lblock_scalar_series(spec.block0.b, spec.block0.C, order)
-        out = np.zeros(order + 1)
-        shift_pow = np.zeros(order + 1)
-        shift_pow[0] = 1.0
-        for r in range(1, spec.R + 1):
-            block = lblock_scalar_series(spec.blocks[r - 1].b, spec.blocks[r - 1].C, order)
-            out += _poly_mul(shift_pow, block, order)
-            if r < spec.R:
-                shift_pow = _poly_mul(shift_pow, shift, order)
-        return out
-    raise TypeError(f"unknown MPF spec type {type(spec)!r}")
-
-
-# ---------------------------------------------------------------------------
-# Sampling ensembles.
-
-
-def _block_layer(blk: LBlock, sched) -> EnsembleLayer:
-    probs = np.abs(blk.C) / blk.one_norm
-    return EnsembleLayer(
-        tuple(
-            EnsembleEntry(float(p), 1 if c >= 0 else -1, sched, float(b))
-            for p, c, b in zip(probs, blk.C, blk.b)
-        )
-    )
+    out = np.zeros(order + 1)
+    for branch in spec.branches:
+        prod = None
+        for layer in branch:
+            series = lblock_scalar_series(layer.b * layer.power, layer.C, order)
+            prod = series if prod is None else _poly_mul(prod, series, order)
+        out += prod
+    return out
 
 
 def mpf_ensemble(spec: MPFSpec, L: int) -> SamplingEnsemble:
     """Turn a formula into a layered sampling ensemble over L-term schedules.
 
-    Negative weights are absorbed as sign tags on the entries, probabilities
-    are the normalized absolute weights, and the resolution factor records
-    the total 1-norm inflation, so that
+    Each layer becomes a distribution over its entries with probabilities
+    |C_q| / ||C||_1 and the signs of C_q as tags; S(b t)^power is the
+    schedule repeated ``power`` times at time b * power * t.  Each branch is
+    drawn with probability proportional to the product of its layer 1-norms,
+    and the resolution factor records the total 1-norm inflation, so that
     ``resolution * E[sign * V] = mpf_matrix``.
     """
-    sched = _suzuki_cached(spec.chi, L)
-    if isinstance(spec, ChildsWiebe):
-        entries = []
-        for cq, ell in zip(spec.C, spec.ells):
-            entries.append(
-                EnsembleEntry(
-                    float(abs(cq) / spec.resolution),
-                    1 if cq >= 0 else -1,
-                    repeat_schedule(sched, ell),
-                    1.0,
+    sched = merge_adjacent(suzuki_schedule(spec.chi, L))
+    layers: dict[int, EnsembleLayer] = {}
+
+    def ensemble_layer(layer: Layer) -> EnsembleLayer:
+        if id(layer) not in layers:
+            layers[id(layer)] = EnsembleLayer(
+                tuple(
+                    EnsembleEntry(
+                        float(p),
+                        1 if c >= 0 else -1,
+                        sched if n == 1 else repeat_schedule(sched, int(n)),
+                        float(b * n),
+                    )
+                    for p, c, b, n in zip(np.abs(layer.C) / layer.one_norm, layer.C, layer.b, layer.power)
                 )
             )
-        return SamplingEnsemble(
-            (EnsembleBranch(1.0, (EnsembleLayer(tuple(entries)),)),), resolution=spec.resolution
-        )
-    if isinstance(spec, MatchingMPF):
-        layers = tuple(_block_layer(blk, sched) for blk in spec.blocks)
-        return SamplingEnsemble((EnsembleBranch(1.0, layers),), resolution=spec.resolution)
-    if isinstance(spec, ClosedFormMPF):
-        shift_layer = _block_layer(spec.block0, sched)
-        branches = []
-        for r in range(1, spec.R + 1):
-            weight = spec.block0.one_norm ** (r - 1) * spec.blocks[r - 1].one_norm
-            layers = (shift_layer,) * (r - 1) + (_block_layer(spec.blocks[r - 1], sched),)
-            branches.append(EnsembleBranch(weight / spec.resolution, layers))
-        return SamplingEnsemble(tuple(branches), resolution=spec.resolution)
-    raise TypeError(f"unknown MPF spec type {type(spec)!r}")
+        return layers[id(layer)]
+
+    weights = [math.prod(layer.one_norm for layer in branch) for branch in spec.branches]
+    total = sum(weights)
+    return SamplingEnsemble(
+        tuple(
+            EnsembleBranch(w / total, tuple(ensemble_layer(layer) for layer in branch))
+            for w, branch in zip(weights, spec.branches)
+        ),
+        resolution=spec.resolution,
+    )

@@ -42,7 +42,8 @@ class OptimizerConfig:
     ``loss_kind`` selects between pure resolution amplification ("xi_pow",
     value Xi^p) and the bound-weighted variant ("bound_times_xi_pow", value
     bound(tau_ref) * Xi^p).  When None it is resolved per formula kind:
-    "xi_pow" for matching, "bound_times_xi_pow" for closed-form.  Xi^p alone
+    "xi_pow" for matching, "bound_times_xi_pow" for closed-form; an unset
+    ``p`` likewise becomes 20 for matching and 10 for closed-form.  Xi^p alone
     never reads zeta, and the closed-form Xi minima the search reaches differ
     in zeta by orders of magnitude, so a cf search on Xi alone can end on
     nodes whose bound stays above the Childs-Wiebe bound at small tau.
@@ -51,7 +52,7 @@ class OptimizerConfig:
     """
 
     loss_kind: str | None = None
-    p: float = 20.0
+    p: float | None = None
     tau_ref: float = 0.1
     b_max: float | None = None
     hops: int = 100
@@ -86,9 +87,17 @@ class OptimResult:
     config: OptimizerConfig = field(repr=False)
 
 
-def _default_loss_kind(kind: str) -> str:
-    """Loss used when ``OptimizerConfig.loss_kind`` is None (see its docstring)."""
-    return "bound_times_xi_pow" if kind == "cf" else "xi_pow"
+def _resolve(config: OptimizerConfig, kind: str, chi: int, R: int) -> OptimizerConfig:
+    """Fill the unset ``b_max``, ``loss_kind`` and ``p`` with their per-kind defaults."""
+    if None not in (config.b_max, config.loss_kind, config.p):  # no copy per loss call
+        return config
+    cf = kind == "cf"
+    return replace(
+        config,
+        b_max=float(chi * R + 1) if config.b_max is None else config.b_max,
+        loss_kind=config.loss_kind or ("bound_times_xi_pow" if cf else "xi_pow"),
+        p=(10.0 if cf else 20.0) if config.p is None else config.p,
+    )
 
 
 def default_initial_b(chi: int, R: int, kind: str) -> list[np.ndarray]:
@@ -124,12 +133,13 @@ def loss(b_list, kind: str, chi: int, R: int, config: OptimizerConfig) -> float:
 
     Repeated entries within a block, entries outside the box and
     ill-conditioned weight systems all return +inf, which the simplex search
-    treats as an ordinary (terrible) value.
+    treats as an ordinary (terrible) value.  Unset config fields take their
+    per-kind defaults.
     """
-    b_max = config.b_max if config.b_max is not None else chi * R + 1
+    config = _resolve(config, kind, chi, R)
     for b in b_list:
         b = np.asarray(b)
-        if np.max(np.abs(b)) > b_max:
+        if np.max(np.abs(b)) > config.b_max:
             return math.inf
         if len(np.unique(b)) != len(b):
             return math.inf
@@ -138,7 +148,7 @@ def loss(b_list, kind: str, chi: int, R: int, config: OptimizerConfig) -> float:
     except IllConditionedSystemError:
         return math.inf
     xi_pow = spec.resolution**config.p
-    if (config.loss_kind or _default_loss_kind(kind)) == "xi_pow":
+    if config.loss_kind == "xi_pow":
         return float(xi_pow)
     zeta = zeta_matching(spec) if kind == "matching" else zeta_cf(spec)
     return float(new_bound(chi, R, zeta, 1.0, config.tau_ref) * xi_pow)
@@ -240,15 +250,10 @@ def basin_hop(f, x0: np.ndarray, config: OptimizerConfig) -> tuple[np.ndarray, f
 def optimize_mpf(kind: str, chi: int, R: int, config: OptimizerConfig | None = None) -> OptimResult:
     """End-to-end node optimization from the default initial guess.
 
-    Unset ``b_max`` and ``loss_kind`` are resolved for ``kind`` and stored
-    resolved in the result's config.
+    Unset ``b_max``, ``loss_kind`` and ``p`` are resolved for ``kind`` and
+    stored resolved in the result's config.
     """
-    if config is None:
-        config = OptimizerConfig(p=20.0 if kind == "matching" else 10.0)
-    if config.b_max is None:
-        config = replace(config, b_max=float(chi * R + 1))
-    if config.loss_kind is None:
-        config = replace(config, loss_kind=_default_loss_kind(kind))
+    config = _resolve(config or OptimizerConfig(), kind, chi, R)
     if kind == "matching":
         matching_nu(chi, R)  # fail early and cache before the search loop
     b0 = default_initial_b(chi, R, kind)

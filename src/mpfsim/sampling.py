@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import hoeffding_shots
-from .ensembles import DEFAULT_COMBO_CAP, MaterializedEnsemble, enumerate_combos
+from .ensembles import DEFAULT_COMBO_CAP, MaterializedEnsemble, mixture_mean
 from .operators import Observable, QuantumState
 
 __all__ = [
@@ -193,14 +193,13 @@ def single_shot(sampler: PreparedSampler, rng: np.random.Generator) -> ShotRecor
 
 
 def expected_value(mat: MaterializedEnsemble, rho: QuantumState, O: Observable) -> float:
-    """Exact E[sign * outcome] by full enumeration of the ensemble.
+    """Exact E[sign * outcome] = tr(O V rho V†) for the signed mixture mean V.
 
-    Equals tr(O V rho V†) for the signed mixture mean V (normalized
-    observable units, i.e. before the resolution^2 and scale factors).
+    V comes layer by layer from :func:`mixture_mean`, in polynomial time
+    (normalized observable units, i.e. before the resolution^2 and scale
+    factors).
     """
-    vbar = np.zeros((mat.dim, mat.dim), dtype=complex)
-    for p, sign, op in enumerate_combos(mat):
-        vbar += p * sign * op
+    vbar = mixture_mean(mat)
     dm = rho.as_density()
     return float(np.trace(O.matrix @ vbar @ dm @ vbar.conj().T).real)
 
@@ -251,7 +250,7 @@ def coverage_experiment(
     """Fraction of independent estimators landing within epsilon of the truth.
 
     Each trial runs the Hoeffding-planned number of shots and compares the
-    raw sample mean against the exact enumerated expectation; the fraction
+    raw sample mean against the exact expectation; the fraction
     must approach at least 1 - delta.
     """
     if trials < 50:

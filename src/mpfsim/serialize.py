@@ -14,15 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .mpf import (
-    ChildsWiebe,
-    ClosedFormMPF,
-    MatchingMPF,
-    MPFSpec,
-    build_closedform,
-    build_matching,
-    cw_coefficients,
-)
+from .mpf import MPFSpec, build_closedform, build_matching, cw_coefficients
 from .optimize import OptimResult
 
 __all__ = [
@@ -59,7 +51,7 @@ def _parse_kv(text: str) -> dict[str, str]:
 
 
 def _spec_lines(spec: MPFSpec) -> list[str]:
-    if isinstance(spec, ChildsWiebe):
+    if spec.kind == "cw":
         return [
             "kind = cw",
             f"chi = {spec.chi}",
@@ -69,18 +61,14 @@ def _spec_lines(spec: MPFSpec) -> list[str]:
             f"xi = {format_float(spec.resolution)}",
         ]
     lines = [
-        f"kind = {'matching' if isinstance(spec, MatchingMPF) else 'cf'}",
+        f"kind = {spec.kind}",
         f"chi = {spec.chi}",
         f"R = {spec.R}",
         f"xi = {format_float(spec.resolution)}",
     ]
-    blocks = list(spec.blocks)
-    offset = 1
-    if isinstance(spec, ClosedFormMPF):
-        blocks = [spec.block0] + blocks
-        offset = 0
-    for i, blk in enumerate(blocks):
-        idx = i + offset
+    # Node blocks are numbered from 1; the closed-form shift block is b0.
+    first, blocks = (0, (spec.block0, *spec.blocks)) if spec.kind == "cf" else (1, spec.blocks)
+    for idx, blk in enumerate(blocks, first):
         lines.append(f"b{idx} = {format_vector(blk.b)}")
         lines.append(f"c{idx} = {format_vector(blk.C)}")
         lines.append(f"nu{idx} = {format_vector(blk.nu)}")

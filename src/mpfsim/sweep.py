@@ -2,9 +2,9 @@
 
 Builds batched approximants over a time grid, reusing one order-2chi
 schedule evaluation per distinct time-scale value (the repetition scales
-1/r, the Childs-Wiebe nodes 1/l and every block node b share the cache), and
-fits order-scaling slopes in an adaptive window above the double-precision
-noise floor.
+1/r, the Childs-Wiebe nodes 1/l and every block node b share the cache) and
+one exact evolution per grid, and fits order-scaling slopes in an adaptive
+window above the double-precision noise floor.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Method, bound_for, ts_bound
-from .mpf import ChildsWiebe, ClosedFormMPF, MatchingMPF, MPFSpec
+from .mpf import MPFSpec
+from .mpf import mpf_matrices as method_matrices
 from .operators import HamiltonianSpec, exact_evolutions, lambda_norm
 from .schedules import merge_adjacent, schedule_matrices, suzuki_schedule
 
@@ -47,6 +48,13 @@ class SuzukiGridCache:
         self.ts = np.asarray(ts, dtype=float)
         self._sched = merge_adjacent(suzuki_schedule(chi, H.L))
         self._cache: dict[float, np.ndarray] = {}
+        self._exact: np.ndarray | None = None
+
+    def exact(self) -> np.ndarray:
+        """Exact propagators over the grid, computed on first use."""
+        if self._exact is None:
+            self._exact = exact_evolutions(self.H, self.ts)
+        return self._exact
 
     def __call__(self, scale: float) -> np.ndarray:
         key = float(scale)
@@ -85,44 +93,6 @@ def ts_matrices(H: HamiltonianSpec, chi: int, r: int, ts: np.ndarray, cache: Suz
     return out
 
 
-def method_matrices(spec: MPFSpec, H: HamiltonianSpec, ts: np.ndarray, cache: SuzukiGridCache | None = None) -> np.ndarray:
-    """Batched formula approximant over the grid, sharing schedule builds."""
-    cache = cache or SuzukiGridCache(H, spec.chi, ts)
-    B, d = len(cache.ts), H.dim
-    if isinstance(spec, ChildsWiebe):
-        out = np.zeros((B, d, d), dtype=complex)
-        for cq, ell in zip(spec.C, spec.ells):
-            power = cache(1.0 / ell)
-            acc = power
-            for _ in range(ell - 1):
-                acc = acc @ power
-            out += cq * acc
-        return out
-
-    def block_sum(blk) -> np.ndarray:
-        acc = np.zeros((B, d, d), dtype=complex)
-        for cq, bq in zip(blk.C, blk.b):
-            acc += cq * cache(float(bq))
-        return acc
-
-    if isinstance(spec, MatchingMPF):
-        out = None
-        for blk in spec.blocks:
-            term = block_sum(blk)
-            out = term if out is None else out @ term
-        return out
-    if isinstance(spec, ClosedFormMPF):
-        shift = block_sum(spec.block0)
-        out = np.zeros((B, d, d), dtype=complex)
-        shift_pow = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy()
-        for r in range(1, spec.R + 1):
-            out += shift_pow @ block_sum(spec.blocks[r - 1])
-            if r < spec.R:
-                shift_pow = shift_pow @ shift
-        return out
-    raise TypeError(f"unknown MPF spec type {type(spec)!r}")
-
-
 def _batched_spectral_distance(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.array([np.linalg.norm(A[i] - B[i], 2) for i in range(A.shape[0])])
 
@@ -141,7 +111,7 @@ def distance_curve(
     lam = lambda_norm(H)
     ts = taus / lam
     cache = cache or SuzukiGridCache(H, chi, ts)
-    exact = exact_evolutions(H, ts)
+    exact = cache.exact()
     if method == Method.TROTTER_SUZUKI:
         approx = ts_matrices(H, chi, reps, ts, cache)
         bounds = np.array([ts_bound(chi, reps, lam, t) for t in ts])

@@ -191,6 +191,19 @@ def test_optimize_cf_default_loss(capsys, tmp_path):
     assert "loss_kind = xi_pow" in explicit_file.read_text().splitlines()
 
 
+@pytest.mark.parametrize("kind", ["cw", "cf"])
+def test_spec_file_of_wrong_kind_exit_2(capsys, tmp_path, kind):
+    spec_file = tmp_path / f"{kind}.spec"
+    assert run(capsys, "coeffs", "--kind", kind, "--chi", "2", "--K", "2", "--R", "3", "--out", str(spec_file))[0] == 0
+    code, _, err = run(
+        capsys, "bounds", "--methods", "matching", "--matching-file", str(spec_file),
+        "--csv", str(tmp_path / "bounds.csv"),
+    )
+    assert code == 2
+    assert f"holds a {kind} spec, not matching" in err
+    assert not (tmp_path / "bounds.csv").exists()
+
+
 def test_slope_s2_toy(capsys):
     code, out, _ = run(
         capsys, "slope", "--method", "ts", "--chi", "1", "--model", "toy", "--tol", "0.15",

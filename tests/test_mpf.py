@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mpfsim.ensembles
 from mpfsim.ensembles import enumerate_combos, materialize, mixture_mean
 from mpfsim.mpf import (
     IllConditionedSystemError,
@@ -21,7 +22,9 @@ from mpfsim.mpf import (
     scalar_series,
     solve_vandermonde,
 )
-from mpfsim.operators import hamiltonian, pauli_string, spectral_distance
+from mpfsim.operators import QuantumState, hamiltonian, observable, pauli_string, spectral_distance
+from mpfsim.optimize import default_initial_b, spec_from_b
+from mpfsim.sampling import expected_value
 from mpfsim.schedules import merge_adjacent, s2_schedule, schedule_matrix
 
 
@@ -328,3 +331,77 @@ def test_exact_mixture_identity(toy, kind):
     for p, s, op in enumerate_combos(mat):
         total += p * s * op
     assert spectral_distance(mat.resolution * total, target) < 1e-11
+
+
+# --- canonical form ---------------------------------------------------------
+
+
+def spec_of_kind(kind, rng):
+    if kind == "cw":
+        return cw_coefficients(1, 2)
+    n_blocks = 2 if kind == "matching" else 3
+    return spec_from_b(kind, 1, 2, [distinct_b(5, rng) for _ in range(n_blocks)])
+
+
+@pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
+def test_branches_one_norms_give_resolution(kind):
+    spec = spec_of_kind(kind, np.random.default_rng(21))
+    assert spec.kind == kind
+    total = sum(math.prod(layer.one_norm for layer in branch) for branch in spec.branches)
+    assert total == pytest.approx(spec.resolution, rel=1e-15)
+
+
+def test_branch_shapes_per_kind():
+    rng = np.random.default_rng(22)
+    assert [len(br) for br in spec_of_kind("cw", rng).branches] == [1]
+    assert [len(br) for br in spec_of_kind("matching", rng).branches] == [2]
+    cf = spec_of_kind("cf", rng)
+    assert [len(br) for br in cf.branches] == [1, 2]
+    assert cf.branches[1][0] is cf.block0
+
+
+@pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
+def test_ensemble_has_one_branch_per_formula_branch(toy, kind):
+    spec = spec_of_kind(kind, np.random.default_rng(23))
+    ens = mpf_ensemble(spec, toy.L)
+    assert len(ens.branches) == len(spec.branches)
+    for br, branch in zip(ens.branches, spec.branches):
+        assert [len(layer.entries) for layer in br.layers] == [len(layer.C) for layer in branch]
+
+
+@pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
+def test_expected_value_matches_enumeration(kind):
+    H = hamiltonian([pauli_string("XI"), pauli_string("ZZ"), pauli_string("IY")], label="toy3")
+    spec = spec_of_kind(kind, np.random.default_rng(24))
+    mat = materialize(mpf_ensemble(spec, H.L), H, 0.4)
+    O = observable(pauli_string("ZI"))
+    rho = QuantumState.basis(H.dim, 1)
+    vbar = np.zeros((H.dim, H.dim), dtype=complex)
+    for p, sign, op in enumerate_combos(mat):
+        vbar += p * sign * op
+    brute = np.trace(O.matrix @ vbar @ rho.as_density() @ vbar.conj().T).real
+    assert abs(expected_value(mat, rho, O) - brute) <= 1e-12
+
+
+def test_materialize_builds_each_distinct_operator_once(toy, monkeypatch):
+    calls = []
+    original = mpfsim.ensembles.schedule_matrix
+
+    def counting(s, H, t):
+        calls.append(t)
+        return original(s, H, t)
+
+    monkeypatch.setattr(mpfsim.ensembles, "schedule_matrix", counting)
+    spec = spec_from_b("cf", 1, 2, default_initial_b(1, 2, "cf"))
+    ens = mpf_ensemble(spec, toy.L)
+    t = 0.37
+    mat = materialize(ens, toy, t)
+    entries = [e for br in ens.branches for layer in br.layers for e in layer.entries]
+    assert len(entries) == 15
+    assert len(calls) == len({(e.schedule, e.time_scale * t) for e in entries}) == 5
+    monkeypatch.undo()
+    for br, mbr in zip(ens.branches, mat.branches):
+        for layer, mats in zip(br.layers, mbr.layer_matrices):
+            for e, m in zip(layer.entries, mats):
+                assert np.array_equal(m, schedule_matrix(merge_adjacent(e.schedule), toy, e.time_scale * t))
+    assert spectral_distance(mat.resolution * mixture_mean(mat), mpf_matrix(spec, toy, t)) < 1e-12

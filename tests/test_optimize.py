@@ -151,13 +151,13 @@ def test_optimize_mpf_default_loss_per_kind():
     assert cfg.loss_kind is None
     cf = optimize_mpf("cf", 1, 2, cfg)
     assert cf.config.loss_kind == "bound_times_xi_pow"
-    assert cf.loss_value == pytest.approx(cf.bound_at_tau_ref * cf.Xi**cfg.p, rel=1e-12)
+    assert cf.loss_value == pytest.approx(cf.bound_at_tau_ref * cf.Xi**cf.config.p, rel=1e-12)
     matching = optimize_mpf("matching", 1, 2, cfg)
     assert matching.config.loss_kind == "xi_pow"
-    assert matching.loss_value == pytest.approx(matching.Xi**cfg.p, rel=1e-12)
+    assert matching.loss_value == pytest.approx(matching.Xi**matching.config.p, rel=1e-12)
     explicit = optimize_mpf("cf", 1, 2, replace(cfg, loss_kind="xi_pow"))
     assert explicit.config.loss_kind == "xi_pow"
-    assert explicit.loss_value == pytest.approx(explicit.Xi**cfg.p, rel=1e-12)
+    assert explicit.loss_value == pytest.approx(explicit.Xi**explicit.config.p, rel=1e-12)
 
 
 def test_loss_unresolved_config_uses_kind_default():
@@ -165,6 +165,17 @@ def test_loss_unresolved_config_uses_kind_default():
     unresolved = loss(b, "cf", 1, 2, OptimizerConfig())
     assert unresolved == loss(b, "cf", 1, 2, OptimizerConfig(loss_kind="bound_times_xi_pow"))
     assert unresolved != loss(b, "cf", 1, 2, OptimizerConfig(loss_kind="xi_pow"))
+
+
+def test_unset_p_resolves_per_kind():
+    for kind, p in (("cf", 10.0), ("matching", 20.0)):
+        b = default_initial_b(1, 2, kind)
+        unset = OptimizerConfig(loss_kind="xi_pow")
+        assert unset.p is None
+        assert loss(b, kind, 1, 2, unset) == loss(b, kind, 1, 2, replace(unset, p=p))
+        assert loss(b, kind, 1, 2, unset) != loss(b, kind, 1, 2, replace(unset, p=30.0 - p))
+        result = optimize_mpf(kind, 1, 2, OptimizerConfig(hops=1, seed=1, max_local_iters=50))
+        assert result.config.p == p
 
 
 def test_optimizer_config_validation():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import mpfsim.sweep
 from mpfsim.bounds import Method
-from mpfsim.mpf import build_matching, mpf_matrices
+from mpfsim.mpf import cw_coefficients, mpf_matrices
 from mpfsim.operators import (
     exact_evolutions,
     hamiltonian,
@@ -10,7 +11,7 @@ from mpfsim.operators import (
     pauli_string,
     spectral_distance,
 )
-from mpfsim.optimize import default_initial_b
+from mpfsim.optimize import default_initial_b, spec_from_b
 from mpfsim.sweep import (
     SuzukiGridCache,
     distance_curve,
@@ -42,12 +43,30 @@ def test_cache_prewarm_threaded_matches_serial(toy):
         assert np.array_equal(serial(s), threaded(s))
 
 
-def test_method_matrices_match_mpf_matrices(toy):
-    ts = np.array([0.05, 0.4])
-    spec = build_matching(1, 2, default_initial_b(1, 2, "matching"))
-    a = method_matrices(spec, toy, ts)
-    b = mpf_matrices(spec, toy, ts)
-    assert max(spectral_distance(a[i], b[i]) for i in range(2)) < 1e-13
+def test_method_matrices_is_mpf_matrices():
+    assert method_matrices is mpf_matrices
+
+
+def test_exact_evolutions_once_per_cache(toy, monkeypatch):
+    calls = []
+
+    def counting(H, ts):
+        calls.append(len(ts))
+        return exact_evolutions(H, ts)
+
+    monkeypatch.setattr(mpfsim.sweep, "exact_evolutions", counting)
+    taus = np.logspace(-2, 0, 4)
+    cache = SuzukiGridCache(toy, 1, taus / lambda_norm(toy))
+    specs = {
+        Method.TROTTER_SUZUKI: None,
+        Method.CHILDS_WIEBE: cw_coefficients(1, 1),
+        Method.MATCHING: spec_from_b("matching", 1, 2, default_initial_b(1, 2, "matching")),
+        Method.CLOSED_FORM: spec_from_b("cf", 1, 2, default_initial_b(1, 2, "cf")),
+    }
+    shared = {m: distance_curve(toy, m, taus, 1, 2, spec, cache)[0] for m, spec in specs.items()}
+    assert calls == [4]
+    for method, spec in specs.items():
+        assert np.array_equal(shared[method], distance_curve(toy, method, taus, 1, 2, spec)[0])
 
 
 def test_ts_matrices_repetition(toy):
