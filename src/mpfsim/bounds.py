@@ -24,7 +24,6 @@ from .schedules import suzuki_merged_count
 
 __all__ = [
     "Method",
-    "BoundReport",
     "ShotPlan",
     "g_factor",
     "ts_bound",
@@ -47,20 +46,6 @@ class Method(str, Enum):
     CHILDS_WIEBE = "cw"
     MATCHING = "matching"
     CLOSED_FORM = "cf"
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    method: Method
-    chi: int
-    order_param: int  # r for TS, K for CW, R for the new kinds
-    r: int
-    Lambda: float
-    t: float
-    zeta: float
-    bound: float
-    depth_merged: int
-    depth_blocks: int
 
 
 @dataclass(frozen=True)

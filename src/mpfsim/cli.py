@@ -6,7 +6,7 @@ against exact evolution), ``sample`` (shot-planned randomized estimation),
 ``optimize`` (node-vector search) and ``slope`` (order-scaling fit).
 
 Exit codes: 0 success, 2 usage or config error, 3 numeric-diagnostic
-failure.  Set MPFSIM_THREADS to parallelize independent schedule builds.
+failure, 141 when stdout is closed early (a broken pipe).
 """
 
 from __future__ import annotations
@@ -40,23 +40,9 @@ from .serialize import (
     save_mpf_spec,
     save_optim_result,
 )
-from .sweep import (
-    DISTANCE_NOISE_FLOOR,
-    SuzukiGridCache,
-    distance_curve,
-    fit_order_slope,
-    method_matrices,
-    ts_matrices,
-)
+from .sweep import DISTANCE_NOISE_FLOOR, SuzukiGridCache, distance_curve, fit_order_slope
 
 METHOD_ORDER = (Method.TROTTER_SUZUKI, Method.CHILDS_WIEBE, Method.MATCHING, Method.CLOSED_FORM)
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("MPFSIM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _write_csv(path: str, rows: list[tuple[float, str, float, str]]) -> None:
@@ -126,6 +112,13 @@ def _parse_methods(text: str) -> list[Method]:
     return sorted(set(methods), key=METHOD_ORDER.index)
 
 
+def _default_spec(kind: str, chi: int, K: int, R: int) -> MPFSpec:
+    """Childs-Wiebe of order K, or a matching/cf formula on the default nodes."""
+    if kind == "cw":
+        return cw_coefficients(chi, K)
+    return spec_from_b(kind, chi, R, default_initial_b(chi, R, kind))
+
+
 def _specs_for(args, methods: list[Method]) -> dict[Method, MPFSpec]:
     """Build or load the formula specs the selected methods need.
 
@@ -134,15 +127,13 @@ def _specs_for(args, methods: list[Method]) -> dict[Method, MPFSpec]:
     """
     chi, reps = args.chi, args.reps
     specs: dict[Method, MPFSpec] = {}
-    if Method.CHILDS_WIEBE in methods:
-        specs[Method.CHILDS_WIEBE] = cw_coefficients(chi, reps - 1)
-    for method in (Method.MATCHING, Method.CLOSED_FORM):
-        if method not in methods:
+    for method in methods:
+        if method == Method.TROTTER_SUZUKI:
             continue
         kind = method.value
         path = getattr(args, f"{kind}_file", None)
         if not path:
-            specs[method] = spec_from_b(kind, chi, reps, default_initial_b(chi, reps, kind))
+            specs[method] = _default_spec(kind, chi, reps - 1, reps)
             continue
         spec = load_mpf_spec(path)
         if spec.kind != kind:
@@ -212,15 +203,10 @@ def _print_spec(spec: MPFSpec) -> None:
 
 
 def cmd_coeffs(args) -> int:
-    if args.kind == "cw":
-        spec = cw_coefficients(args.chi, args.K)
+    if args.b_file and args.kind != "cw":
+        spec = spec_from_b(args.kind, args.chi, args.R, _read_b_file(args.b_file))
     else:
-        b_list = (
-            _read_b_file(args.b_file)
-            if args.b_file
-            else default_initial_b(args.chi, args.R, args.kind)
-        )
-        spec = spec_from_b(args.kind, args.chi, args.R, b_list)
+        spec = _default_spec(args.kind, args.chi, args.K, args.R)
     _print_spec(spec)
     if args.out:
         save_mpf_spec(spec, args.out)
@@ -265,10 +251,6 @@ def cmd_distance(args) -> int:
     specs = _specs_for(args, methods)
     lam = lambda_norm(H)
     cache = SuzukiGridCache(H, args.chi, taus / lam)
-    scales = [1.0 / args.reps]
-    for spec in specs.values():
-        scales += [b for branch in spec.branches for layer in branch for b in layer.b]
-    cache.prewarm(scales, _threads())
     rows = []
     dist_series = {}
     violations = 0
@@ -303,10 +285,8 @@ def cmd_sample(args) -> int:
     H = _toy_two_term() if args.model == "toy" else build_model(_model_config(args))
     if args.mpf_file:
         spec = load_mpf_spec(args.mpf_file)
-    elif args.kind == "cw":
-        spec = cw_coefficients(args.chi, args.K)
     else:
-        spec = spec_from_b(args.kind, args.chi, args.R, default_initial_b(args.chi, args.R, args.kind))
+        spec = _default_spec(args.kind, args.chi, args.K, args.R)
     obs_mat = pauli_string(args.observable)
     if obs_mat.shape[0] != H.dim:
         raise ValueError(
@@ -363,35 +343,24 @@ def cmd_slope(args) -> int:
     lam = lambda_norm(H)
     method = Method(args.method)
     if method == Method.TROTTER_SUZUKI:
-        theory = 2 * args.chi + 1
-        spec = None
-    elif method == Method.CHILDS_WIEBE:
-        theory = 2 * (args.chi + args.K) + 1
-        spec = cw_coefficients(args.chi, args.K)
+        theory, spec = 2 * args.chi + 1, None
     else:
-        theory = 2 * args.chi * args.R + 1
-        kind = "matching" if method == Method.MATCHING else "cf"
-        spec = spec_from_b(kind, args.chi, args.R, default_initial_b(args.chi, args.R, kind))
+        spec = _default_spec(method.value, args.chi, args.K, args.R)
+        theory = 2 * (args.chi + args.K) + 1 if spec.kind == "cw" else 2 * args.chi * args.R + 1
 
-    from .operators import exact_evolutions
-
-    def distances(ts):
-        exact = exact_evolutions(H, ts)
-        if spec is None:
-            approx = ts_matrices(H, args.chi, 1, ts)
-        else:
-            approx = method_matrices(spec, H, ts)
-        return [float(np.linalg.norm(exact[i] - approx[i], 2)) for i in range(len(ts))]
+    def distances(taus):
+        return distance_curve(H, method, taus, args.chi, 1, spec)[0]
 
     try:
-        fit = fit_order_slope(distances, t_min=args.t_min / lam, t_max=args.t_max / lam)
+        fit = fit_order_slope(distances, t_min=args.t_min, t_max=args.t_max)
     except ValueError as exc:
         print(f"slope fit failed: {exc}")
         return 3
     ok = abs(fit.slope - theory) <= args.tol
+    t_lo, t_hi = (tau / lam for tau in fit.t_window)
     print(
         f"method = {method.value}  fitted slope = {fit.slope:.4f}  theory = {theory}  "
-        f"window t in [{format_float(fit.t_window[0])}, {format_float(fit.t_window[1])}]  points = {fit.n_points}"
+        f"window t in [{format_float(t_lo)}, {format_float(t_hi)}]  points = {fit.n_points}"
     )
     print("within tolerance" if ok else f"OUTSIDE tolerance {args.tol}")
     return 0 if ok else 3
@@ -489,7 +458,13 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "config_cmd", False):
             _apply_config_overrides(args, argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader left early: send what is still buffered nowhere, quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, IllConditionedSystemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

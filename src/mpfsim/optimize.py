@@ -57,7 +57,6 @@ class OptimizerConfig:
     b_max: float | None = None
     hops: int = 100
     step_scale: float = 0.5
-    accept_temperature: float = 1.0
     simplex_tol: float = 1e-8
     max_local_iters: int = 2000
     seed: int = 0
@@ -67,7 +66,7 @@ class OptimizerConfig:
             raise ValueError("hops must be >= 1")
         if self.b_max is not None and self.b_max <= 0:
             raise ValueError("b_max must be positive")
-        if self.simplex_tol <= 0 or self.step_scale <= 0 or self.accept_temperature <= 0:
+        if self.simplex_tol <= 0 or self.step_scale <= 0:
             raise ValueError("tolerances and scales must be positive")
         if self.loss_kind not in (None, "xi_pow", "bound_times_xi_pow"):
             raise ValueError(f"unknown loss kind {self.loss_kind!r}")
@@ -219,7 +218,7 @@ def basin_hop(f, x0: np.ndarray, config: OptimizerConfig) -> tuple[np.ndarray, f
 
     Hop zero searches from ``x0`` directly (so hops=1 is a single local
     search); every later hop perturbs the current chain point by a uniform
-    step and accepts by Metropolis on the loss scale of
+    step and accepts by Metropolis at unit temperature on the loss scale of
     :func:`_metropolis_delta`.  Returns the best point ever seen with its
     loss and the per-hop best-loss history.
     """
@@ -240,7 +239,7 @@ def basin_hop(f, x0: np.ndarray, config: OptimizerConfig) -> tuple[np.ndarray, f
         delta = _metropolis_delta(f_loc, f_cur)
         if delta <= 0 or (
             math.isfinite(delta)
-            and rng.random() < math.exp(-min(delta, 700.0) / config.accept_temperature)
+            and rng.random() < math.exp(-min(delta, 700.0))
         ):
             x_cur, f_cur = x_loc, f_loc
         history.append(f_best)

@@ -14,7 +14,7 @@ execution order, so shots can run in any order or in parallel.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,8 +64,6 @@ def hadamard_test_expectation(
 class ShotRecord:
     outcome: float
     sign_product: int
-    draw_circ: tuple[int, tuple[int, ...]]  # (branch, per-layer entry indices)
-    draw_bullet: tuple[int, tuple[int, ...]]
 
 
 @dataclass
@@ -91,7 +89,6 @@ class _PreparedBranch:
     combo_cum: np.ndarray
     combo_signs: np.ndarray
     combo_amps: np.ndarray  # (n_combos, dim, rank) in the observable eigenbasis
-    combo_indices: tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -116,42 +113,28 @@ def _state_factor(rho: QuantumState) -> np.ndarray:
 
 
 def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable) -> PreparedSampler:
-    """Precompute per-combination amplitudes for fast repeated shots."""
+    """Precompute per-combination amplitudes for fast repeated shots.
+
+    Combinations run in lexicographic order of their per-layer entry indices,
+    layer 0 most significant.  Each branch's table grows from the last layer
+    outwards, so every amplitude is M_0 (M_1 (... (M_last F))) for the state
+    factor F.
+    """
     if rho.dim != mat.dim or O.dim != mat.dim:
         raise ValueError("dimension mismatch")
     factor = _state_factor(rho)
     basis = O.eigenvectors.conj().T
     branches = []
     for br in mat.branches:
-        sizes = [len(p) for p in br.layer_probs]
-        n_combos = int(np.prod(sizes)) if sizes else 1
+        n_combos = math.prod(len(p) for p in br.layer_probs)
         if n_combos > DEFAULT_COMBO_CAP:
             raise ValueError(f"enumeration cap exceeded: {n_combos}")
-        probs = np.empty(n_combos)
-        signs = np.empty(n_combos, dtype=int)
-        amps = np.empty((n_combos, mat.dim, factor.shape[1]), dtype=complex)
-        indices = []
-        for i, combo in enumerate(itertools.product(*[range(n) for n in sizes])):
-            p = 1.0
-            sign = 1
-            vec = factor
-            for layer_idx in reversed(range(len(combo))):
-                q = combo[layer_idx]
-                p *= br.layer_probs[layer_idx][q]
-                sign *= int(br.layer_signs[layer_idx][q])
-                vec = br.layer_matrices[layer_idx][q] @ vec
-            probs[i] = p
-            signs[i] = sign
-            amps[i] = basis @ vec
-            indices.append(combo)
-        branches.append(
-            _PreparedBranch(
-                combo_cum=np.cumsum(probs),
-                combo_signs=signs,
-                combo_amps=amps,
-                combo_indices=tuple(indices),
-            )
-        )
+        probs, signs, vecs = np.ones(1), np.ones(1, dtype=int), factor[None]
+        for p, s, m in reversed(list(zip(br.layer_probs, br.layer_signs, br.layer_matrices))):
+            probs = np.multiply.outer(p, probs).ravel()
+            signs = np.multiply.outer(s, signs).ravel()
+            vecs = (m[:, None] @ vecs[None]).reshape(-1, *factor.shape)
+        branches.append(_PreparedBranch(np.cumsum(probs), signs, basis @ vecs))
     return PreparedSampler(
         branch_cum=np.cumsum(mat.branch_probs),
         branches=tuple(branches),
@@ -184,12 +167,7 @@ def single_shot(sampler: PreparedSampler, rng: np.random.Generator) -> ShotRecor
     ancilla_sign = 1.0 if idx < len(sampler.eigenvalues) else -1.0
     outcome = ancilla_sign * sampler.eigenvalues[idx % len(sampler.eigenvalues)]
     sign = int(sampler.branches[b1].combo_signs[c1] * sampler.branches[b2].combo_signs[c2])
-    return ShotRecord(
-        outcome=float(outcome),
-        sign_product=sign,
-        draw_circ=(b1, sampler.branches[b1].combo_indices[c1]),
-        draw_bullet=(b2, sampler.branches[b2].combo_indices[c2]),
-    )
+    return ShotRecord(outcome=float(outcome), sign_product=sign)
 
 
 def expected_value(mat: MaterializedEnsemble, rho: QuantumState, O: Observable) -> float:
@@ -213,6 +191,15 @@ def shot_rng(seed: int, stream: int, shot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
+def _signed_sum(sampler: PreparedSampler, N: int, seed: int, stream: int) -> float:
+    """Sum of sign * outcome over shots 0..N-1 of one estimator stream."""
+    total = 0.0
+    for j in range(N):
+        rec = single_shot(sampler, shot_rng(seed, stream, j))
+        total += rec.sign_product * rec.outcome
+    return total
+
+
 def run_estimator(
     mat: MaterializedEnsemble,
     rho: QuantumState,
@@ -229,11 +216,7 @@ def run_estimator(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    sampler = prepare_sampler(mat, rho, O)
-    total = 0.0
-    for j in range(N):
-        rec = single_shot(sampler, shot_rng(seed, stream, j))
-        total += rec.sign_product * rec.outcome
+    total = _signed_sum(prepare_sampler(mat, rho, O), N, seed, stream)
     state = EstimatorState(shots=N, signed_sum=total, resolution=mat.resolution, scale=O.scale)
     return state.estimate, state
 
@@ -249,21 +232,15 @@ def coverage_experiment(
 ) -> float:
     """Fraction of independent estimators landing within epsilon of the truth.
 
-    Each trial runs the Hoeffding-planned number of shots and compares the
-    raw sample mean against the exact expectation; the fraction
-    must approach at least 1 - delta.
+    Trial s draws the Hoeffding-planned number of shots of estimator stream
+    s, the shots ``run_estimator(..., seed, stream=s)`` draws, and compares
+    the raw sample mean against the exact expectation; the fraction must
+    approach at least 1 - delta.
     """
     if trials < 50:
         raise ValueError("need at least 50 trials for a meaningful coverage estimate")
     n_shots = hoeffding_shots(epsilon, delta).N
     target = expected_value(mat, rho, O)
     sampler = prepare_sampler(mat, rho, O)
-    hits = 0
-    for s in range(trials):
-        total = 0.0
-        for j in range(n_shots):
-            rec = single_shot(sampler, shot_rng(seed, s, j))
-            total += rec.sign_product * rec.outcome
-        if abs(total / n_shots - target) <= epsilon:
-            hits += 1
+    hits = sum(abs(_signed_sum(sampler, n_shots, seed, s) / n_shots - target) <= epsilon for s in range(trials))
     return hits / trials

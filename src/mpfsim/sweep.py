@@ -38,9 +38,18 @@ __all__ = [
 # fit window from below.
 DISTANCE_NOISE_FLOOR = 1e-11
 
+# Slope fits: log-grid size, and the fewest clean points and decades of t
+# a fit may rest on.
+SLOPE_GRID_POINTS = 72
+SLOPE_MIN_POINTS = 6
+SLOPE_MIN_SPAN_DECADES = 0.5
+
 
 class SuzukiGridCache:
-    """Batched order-2chi schedule evaluations over a fixed time grid."""
+    """Batched order-2chi schedule evaluations over a fixed time grid.
+
+    Each distinct time scale is built on its first lookup and kept.
+    """
 
     def __init__(self, H: HamiltonianSpec, chi: int, ts: np.ndarray):
         self.H = H
@@ -62,26 +71,6 @@ class SuzukiGridCache:
             self._cache[key] = schedule_matrices(self._sched, self.H, key * self.ts)
         return self._cache[key]
 
-    def prewarm(self, scales, max_workers: int = 1) -> None:
-        """Build all distinct scales up front, optionally in a thread pool.
-
-        Each build writes its own key, so results are independent of
-        scheduling; the heavy work is BLAS, which releases the GIL.
-        """
-        missing = sorted({float(s) for s in scales} - set(self._cache))
-        if not missing:
-            return
-        if max_workers <= 1:
-            for s in missing:
-                self(s)
-            return
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            results = list(pool.map(lambda s: schedule_matrices(self._sched, self.H, s * self.ts), missing))
-        for s, mats in zip(missing, results):
-            self._cache[s] = mats
-
 
 def ts_matrices(H: HamiltonianSpec, chi: int, r: int, ts: np.ndarray, cache: SuzukiGridCache | None = None) -> np.ndarray:
     """Repeated Trotter-Suzuki approximant S_2chi(t/r)^r over the grid."""
@@ -91,10 +80,6 @@ def ts_matrices(H: HamiltonianSpec, chi: int, r: int, ts: np.ndarray, cache: Suz
     for _ in range(r - 1):
         out = out @ base
     return out
-
-
-def _batched_spectral_distance(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.array([np.linalg.norm(A[i] - B[i], 2) for i in range(A.shape[0])])
 
 
 def distance_curve(
@@ -120,7 +105,7 @@ def distance_curve(
             raise ValueError(f"method {method} requires a built MPF spec")
         approx = method_matrices(spec, H, ts, cache)
         bounds = np.array([bound_for(spec, lam, t) for t in ts])
-    return _batched_spectral_distance(exact, approx), bounds
+    return np.linalg.norm(exact - approx, 2, axis=(1, 2)), bounds
 
 
 @dataclass(frozen=True)
@@ -135,31 +120,28 @@ def fit_order_slope(
     distances_fn,
     t_min: float = 1e-6,
     t_max: float = 3.0,
-    n_grid: int = 72,
     window: tuple[float, float] = (1e-11, 1e-4),
-    min_points: int = 6,
-    min_span_decades: float = 0.5,
 ) -> SlopeFit:
     """Least-squares log-log slope fitted where distances are trustworthy.
 
     ``distances_fn(ts) -> distances`` is evaluated on a log grid; only points
     with distance inside ``window`` enter the fit (below it is float noise,
     above it the leading Taylor order no longer dominates).  Raises
-    ``ValueError`` when fewer than ``min_points`` clean points remain or they
-    span less than ``min_span_decades`` decades of t.
+    ``ValueError`` when fewer than ``SLOPE_MIN_POINTS`` clean points remain or
+    they span less than ``SLOPE_MIN_SPAN_DECADES`` decades of t.
     """
-    ts = np.logspace(math.log10(t_min), math.log10(t_max), n_grid)
+    ts = np.logspace(math.log10(t_min), math.log10(t_max), SLOPE_GRID_POINTS)
     dists = np.asarray(distances_fn(ts))
     keep = (dists >= window[0]) & (dists <= window[1])
-    if np.count_nonzero(keep) < min_points:
+    if np.count_nonzero(keep) < SLOPE_MIN_POINTS:
         raise ValueError(
             f"insufficient clean points for a slope fit: {np.count_nonzero(keep)} "
             f"in window {window}; widen the grid [{t_min}, {t_max}]"
         )
     tk, dk = ts[keep], dists[keep]
     span = math.log10(tk[-1] / tk[0])
-    if span < min_span_decades:
-        raise ValueError(f"clean t-window spans only {span:.2f} decades (< {min_span_decades})")
+    if span < SLOPE_MIN_SPAN_DECADES:
+        raise ValueError(f"clean t-window spans only {span:.2f} decades (< {SLOPE_MIN_SPAN_DECADES})")
     slope, intercept = np.polyfit(np.log10(tk), np.log10(dk), 1)
     return SlopeFit(
         slope=float(slope),

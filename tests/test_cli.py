@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mpfsim
 from mpfsim.cli import main
 
 
@@ -219,3 +225,18 @@ def test_slope_insufficient_window_exit_3(capsys):
     )
     assert code == 3
     assert "slope fit failed" in out
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_exits_141_quietly(buffered):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(mpfsim.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    argv = [sys.executable, *([] if buffered else ["-u"]), "-m", "mpfsim.cli", "bounds", "--tau-points", "5"]
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == b""

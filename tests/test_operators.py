@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from mpfsim.operators import (
     QuantumState,
     exact_evolution,
+    exact_evolutions,
     expectation,
     hamiltonian,
     herm_expm,
@@ -115,6 +116,16 @@ def test_exact_evolution_commuting_terms_factorizes():
     t = 0.9
     product = herm_expm(H.terms[0], t) @ herm_expm(H.terms[1], t)
     assert spectral_distance(exact_evolution(H, t), product) < 1e-11
+
+
+@pytest.mark.parametrize("dim", [2, 16, 64])
+def test_exact_evolutions_slices_equal_single_time_calls(dim):
+    H = hamiltonian([random_hermitian(dim, seed=dim), random_hermitian(dim, seed=dim + 1)])
+    ts = np.logspace(-3, 1, 9)
+    batched = exact_evolutions(H, ts)
+    assert batched.shape == (len(ts), dim, dim)
+    for i, t in enumerate(ts):
+        assert np.array_equal(batched[i], exact_evolution(H, t))
 
 
 def test_exact_evolution_dimension_cap():

@@ -7,6 +7,7 @@ from mpfsim.ensembles import (
     EnsembleEntry,
     EnsembleLayer,
     SamplingEnsemble,
+    enumerate_combos,
     materialize,
 )
 from mpfsim.mpf import cw_coefficients, mpf_ensemble, mpf_matrix
@@ -17,7 +18,9 @@ from mpfsim.operators import (
     observable,
     pauli_string,
 )
+from mpfsim.optimize import default_initial_b, spec_from_b
 from mpfsim.sampling import (
+    _state_factor,
     coverage_experiment,
     expected_value,
     hadamard_test_expectation,
@@ -196,6 +199,17 @@ def test_coverage_deterministic_ensemble(toy2q):
     assert coverage_experiment(mat, rho, O, 0.2, 0.1, trials=60, seed=0) == 1.0
 
 
+def test_coverage_is_fraction_of_estimator_streams_within_epsilon(cw_setup):
+    _, _, mat, O, rho = cw_setup
+    eps, delta, trials, seed = 0.3, 0.9, 50, 3
+    n = hoeffding_shots(eps, delta).N
+    target = expected_value(mat, rho, O)
+    means = [run_estimator(mat, rho, O, n, seed, stream=s)[1].mean for s in range(trials)]
+    expected = sum(abs(m - target) <= eps for m in means) / trials
+    assert 0.0 < expected < 1.0
+    assert coverage_experiment(mat, rho, O, eps, delta, trials, seed) == expected
+
+
 def test_coverage_requires_enough_trials(cw_setup):
     _, _, mat, O, rho = cw_setup
     with pytest.raises(ValueError):
@@ -264,3 +278,32 @@ def test_density_path_dimension_cap():
 def test_shot_rng_rejects_negative_seed():
     with pytest.raises(ValueError):
         shot_rng(-1, 0, 0)
+
+
+@pytest.mark.parametrize("state", ["pure", "mixed"])
+@pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
+def test_prepared_table_matches_enumeration(toy2q, kind, state):
+    if kind == "cw":
+        spec = cw_coefficients(1, 2)
+    else:
+        spec = spec_from_b(kind, 1, 2, default_initial_b(1, 2, kind))
+    mat = materialize(mpf_ensemble(spec, toy2q.L), toy2q, 0.37)
+    if state == "pure":
+        rho = QuantumState.basis(toy2q.dim, 1)
+    else:
+        rng = np.random.default_rng(4)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        dm = a @ a.conj().T
+        rho = QuantumState.mixed(dm / np.trace(dm).real)
+    O = observable(pauli_string("ZX"))
+    sampler = prepare_sampler(mat, rho, O)
+    basis, factor = O.eigenvectors.conj().T, _state_factor(rho)
+    combos = iter(enumerate_combos(mat))
+    for br_prob, br in zip(mat.branch_probs, sampler.branches):
+        probs = np.diff(br.combo_cum, prepend=0.0)
+        for i in range(len(probs)):
+            p, sign, op = next(combos)
+            assert probs[i] * br_prob == pytest.approx(p, abs=1e-12)
+            assert br.combo_signs[i] == sign
+            assert np.max(np.abs(br.combo_amps[i] - basis @ op @ factor)) <= 1e-12
+    assert next(combos, None) is None

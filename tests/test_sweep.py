@@ -34,15 +34,6 @@ def test_cache_reuses_builds(toy):
     assert a is b
 
 
-def test_cache_prewarm_threaded_matches_serial(toy):
-    ts = np.array([0.1, 0.3])
-    serial = SuzukiGridCache(toy, 2, ts)
-    threaded = SuzukiGridCache(toy, 2, ts)
-    threaded.prewarm([0.5, 1.0, -1.0], max_workers=3)
-    for s in (0.5, 1.0, -1.0):
-        assert np.array_equal(serial(s), threaded(s))
-
-
 def test_method_matrices_is_mpf_matrices():
     assert method_matrices is mpf_matrices
 
