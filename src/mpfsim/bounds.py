@@ -65,6 +65,8 @@ def g_factor(chi: int) -> float:
 
 def ts_bound(chi: int, r: int, Lambda: float, t: float) -> float:
     """Repeated Trotter-Suzuki error bound 2 (g tau / r)^(2chi+1) / (2chi+1)!."""
+    if r < 1:
+        raise ValueError("need r >= 1")
     tau = Lambda * t
     return 2.0 * (g_factor(chi) * tau / r) ** (2 * chi + 1) / math.factorial(2 * chi + 1)
 

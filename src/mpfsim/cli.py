@@ -43,12 +43,7 @@ from .serialize import (
 from .sweep import DISTANCE_NOISE_FLOOR, SuzukiGridCache, distance_curve, fit_order_slope
 
 METHOD_ORDER = (Method.TROTTER_SUZUKI, Method.CHILDS_WIEBE, Method.MATCHING, Method.CLOSED_FORM)
-
-
-def _write_csv(path: str, rows: list[tuple[float, str, float, str]]) -> None:
-    lines = ["tau,method,value,kind"]
-    lines += [f"{format_float(tau)},{method},{format_float(value)},{kind}" for tau, method, value, kind in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+BOUNDS_DEPTH_TERMS = 8  # term count L for the merged depth that `bounds` reports; it builds no model
 
 
 def _read_b_file(path: str) -> list[np.ndarray]:
@@ -62,34 +57,71 @@ def _read_b_file(path: str) -> list[np.ndarray]:
     return vectors
 
 
-def _model_config(args) -> ModelConfig:
-    return ModelConfig(
-        name=args.model,
-        n=args.n,
-        N=args.syk_n,
-        seed=args.model_seed,
-        t=args.hubbard_t,
-        U=args.hubbard_u,
-        mu=args.hubbard_mu,
-        h=args.hubbard_h,
-    )
+def _hamiltonian(args):
+    """The two-term toy model, or the zoo model the model flags select."""
+    if args.model == "toy":
+        return hamiltonian([pauli_string("X"), pauli_string("Y")], label="toy")
+    return build_model(ModelConfig(name=args.model, n=args.n, N=args.syk_n, seed=args.model_seed))
 
 
-def _add_model_flags(p: argparse.ArgumentParser, default: str = "anticommuting", extra=()) -> None:
-    p.add_argument("--model", default=default, choices=list(MODEL_NAMES) + list(extra))
+def _add_model_flags(p: argparse.ArgumentParser, default: str = "anticommuting") -> None:
+    p.add_argument("--model", default=default, choices=(*MODEL_NAMES, "toy"))
     p.add_argument("--n", type=int, default=6, help="heisenberg / free-fermion sites")
     p.add_argument("--syk-n", type=int, default=10, dest="syk_n", help="SYK majorana count")
     p.add_argument("--model-seed", type=int, default=7, help="SYK coupling seed")
-    p.add_argument("--hubbard-t", type=float, default=2.0)
-    p.add_argument("--hubbard-u", type=float, default=2.0)
-    p.add_argument("--hubbard-mu", type=float, default=0.25)
-    p.add_argument("--hubbard-h", type=float, default=0.5)
 
 
-def _add_tau_flags(p: argparse.ArgumentParser) -> None:
+# The config-file sections each subcommand reads.  A key is the dest name of
+# one of the subcommand's flags; only the keys in _CONFIG_RENAMES differ.
+_CONFIG_SECTIONS = {
+    "bounds": ("experiment", "output"),
+    "distance": ("experiment", "model", "output"),
+    "optimize": ("optimize",),
+}
+_CONFIG_RENAMES = {("model", "name"): "model", ("model", "seed"): "model_seed", ("optimize", "r"): "R"}
+
+
+class _ConfigFile(argparse.Action):
+    """``--config FILE``: the values of the ``const`` sections become the subcommand's defaults.
+
+    ``main`` then parses again, so argparse casts each value with its flag's
+    ``type`` and flags given on the command line win.  That parse leaves the
+    defaults as they are: argparse casts a string default only while it is
+    the very object it put in the namespace.
+    """
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        applied = parser.get_default(self.dest)
+        if applied not in (None, path):
+            raise ValueError("give --config once")
+        if applied is None:
+            dests = set(vars(namespace)) - {"func", self.dest}
+            defaults = {self.dest: path}
+            for section, values in read_experiment_config(path).items():
+                if section not in self.const:
+                    continue
+                for key, value in values.items():
+                    dest = _CONFIG_RENAMES.get((section, key), key)
+                    if dest not in dests:
+                        raise ValueError(f"config file {path}: [{section}] {key} names no {parser.prog} flag")
+                    defaults[dest] = value
+            parser.set_defaults(**defaults)
+        setattr(namespace, self.dest, path)
+
+
+def _add_curve_flags(p: argparse.ArgumentParser, command: str) -> None:
+    """The flags ``bounds`` and ``distance`` share: config, methods, orders, spec files, tau grid, outputs."""
+    p.add_argument("--config", action=_ConfigFile, const=_CONFIG_SECTIONS[command], help="ini file of defaults")
+    p.add_argument("--methods", default="ts,cw,matching,cf")
+    p.add_argument("--chi", type=int, default=2)
+    p.add_argument("--reps", type=int, default=3, help="r = R = K + 1 at depth parity")
+    p.add_argument("--matching-file", default=None)
+    p.add_argument("--cf-file", default=None)
     p.add_argument("--tau-min", type=float, default=1e-3)
     p.add_argument("--tau-max", type=float, default=10.0)
     p.add_argument("--tau-points", type=int, default=60)
+    p.add_argument("--csv", default=None)
+    p.add_argument("--svg", default=None)
 
 
 def _tau_grid(args) -> np.ndarray:
@@ -144,46 +176,18 @@ def _specs_for(args, methods: list[Method]) -> dict[Method, MPFSpec]:
     return specs
 
 
-_CONFIG_MAPPING = {
-    ("experiment", "methods"): ("methods", str),
-    ("experiment", "chi"): ("chi", int),
-    ("experiment", "reps"): ("reps", int),
-    ("experiment", "tau_min"): ("tau_min", float),
-    ("experiment", "tau_max"): ("tau_max", float),
-    ("experiment", "tau_points"): ("tau_points", int),
-    ("experiment", "matching_file"): ("matching_file", str),
-    ("experiment", "cf_file"): ("cf_file", str),
-    ("model", "name"): ("model", str),
-    ("model", "n"): ("n", int),
-    ("model", "syk_n"): ("syk_n", int),
-    ("model", "seed"): ("model_seed", int),
-    ("output", "csv"): ("csv", str),
-    ("output", "svg"): ("svg", str),
-    ("optimize", "kind"): ("kind", str),
-    ("optimize", "chi"): ("chi", int),
-    ("optimize", "r"): ("R", int),
-    ("optimize", "p"): ("p", float),
-    ("optimize", "tau_ref"): ("tau_ref", float),
-    ("optimize", "loss"): ("loss", str),
-    ("optimize", "hops"): ("hops", int),
-    ("optimize", "seed"): ("seed", int),
-}
+def _write_outputs(args, rows: list[tuple[float, str, float, str]], series, title: str, ylabel: str) -> None:
+    """Write ``rows`` to ``--csv`` and plot ``series`` to ``--svg``, where given."""
+    if args.csv:
+        lines = ["tau,method,value,kind"]
+        lines += [f"{format_float(tau)},{method},{format_float(value)},{kind}" for tau, method, value, kind in rows]
+        Path(args.csv).write_text("\n".join(lines) + "\n")
+        print(f"wrote {args.csv}")
+    if args.svg:
+        from .svgplot import log_log_plot
 
-
-def _apply_config_overrides(args, argv: list[str]) -> None:
-    """Config-file values fill in; explicitly given command-line flags win."""
-    if not getattr(args, "config", None):
-        return
-    sections = read_experiment_config(args.config)
-    given = {a.split("=", 1)[0] for a in argv if a.startswith("--")}
-    for (section, key), (attr, cast) in _CONFIG_MAPPING.items():
-        if section not in sections or key not in sections[section]:
-            continue
-        if not hasattr(args, attr):
-            continue
-        flag = "--" + attr.replace("_", "-").lower()
-        if flag not in given:
-            setattr(args, attr, cast(sections[section][key]))
+        log_log_plot(series, args.svg, title=title, xlabel="tau", ylabel=ylabel)
+        print(f"wrote {args.svg}")
 
 
 def _print_spec(spec: MPFSpec) -> None:
@@ -227,27 +231,16 @@ def cmd_bounds(args) -> int:
             values = [bound_for(specs[method], 1.0, tau) for tau in taus]
         series[method.value] = (list(taus), values)
         rows += [(float(tau), method.value, float(v), "bound") for tau, v in zip(taus, values)]
-        merged, blocks = depth_report(method, args.chi, args.reps, args.depth_terms)
-        print(f"{method.value}: depth_blocks = {blocks}, depth_merged = {merged} (L = {args.depth_terms})")
-    if args.csv:
-        _write_csv(args.csv, rows)
-        print(f"wrote {args.csv}")
-    if args.svg:
-        from .svgplot import log_log_plot
-
-        log_log_plot(series, args.svg, title="Error bounds", xlabel="tau", ylabel="bound")
-        print(f"wrote {args.svg}")
+        merged, blocks = depth_report(method, args.chi, args.reps, BOUNDS_DEPTH_TERMS)
+        print(f"{method.value}: depth_blocks = {blocks}, depth_merged = {merged} (L = {BOUNDS_DEPTH_TERMS})")
+    _write_outputs(args, rows, series, "Error bounds", "bound")
     return 0
-
-
-def _toy_two_term():
-    return hamiltonian([pauli_string("X"), pauli_string("Y")], label="toy")
 
 
 def cmd_distance(args) -> int:
     methods = _parse_methods(args.methods)
     taus = _tau_grid(args)
-    H = _toy_two_term() if args.model == "toy" else build_model(_model_config(args))
+    H = _hamiltonian(args)
     specs = _specs_for(args, methods)
     lam = lambda_norm(H)
     cache = SuzukiGridCache(H, args.chi, taus / lam)
@@ -266,14 +259,7 @@ def cmd_distance(args) -> int:
                 violations += 1
         merged, blocks = depth_report(method, args.chi, args.reps, H.L)
         print(f"{method.value}: depth_blocks = {blocks}, depth_merged = {merged}")
-    if args.csv:
-        _write_csv(args.csv, rows)
-        print(f"wrote {args.csv}")
-    if args.svg:
-        from .svgplot import log_log_plot
-
-        log_log_plot(dist_series, args.svg, title=f"Operator distance ({args.model})", xlabel="tau", ylabel="distance")
-        print(f"wrote {args.svg}")
+    _write_outputs(args, rows, dist_series, f"Operator distance ({args.model})", "distance")
     if violations:
         print(f"BOUND VIOLATIONS: {violations} grid points exceed bound + {DISTANCE_NOISE_FLOOR:g}")
         return 3
@@ -282,7 +268,7 @@ def cmd_distance(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    H = _toy_two_term() if args.model == "toy" else build_model(_model_config(args))
+    H = _hamiltonian(args)
     if args.mpf_file:
         spec = load_mpf_spec(args.mpf_file)
     else:
@@ -339,7 +325,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_slope(args) -> int:
-    H = _toy_two_term() if args.model == "toy" else build_model(_model_config(args))
+    H = _hamiltonian(args)
     lam = lambda_norm(H)
     method = Method(args.method)
     if method == Method.TROTTER_SUZUKI:
@@ -380,33 +366,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_coeffs)
 
     p = sub.add_parser("bounds", help="error-bound curves over tau")
-    p.add_argument("--config", default=None)
-    p.add_argument("--methods", default="ts,cw,matching,cf")
-    p.add_argument("--chi", type=int, default=2)
-    p.add_argument("--reps", type=int, default=3, help="r = R = K + 1 at depth parity")
-    p.add_argument("--depth-terms", type=int, default=8, help="L used for merged depth reporting")
-    p.add_argument("--matching-file", default=None)
-    p.add_argument("--cf-file", default=None)
-    _add_tau_flags(p)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--svg", default=None)
-    p.set_defaults(func=cmd_bounds, config_cmd=True)
+    _add_curve_flags(p, "bounds")
+    p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("distance", help="operator distances vs exact evolution")
-    p.add_argument("--config", default=None)
-    p.add_argument("--methods", default="ts,cw,matching,cf")
-    p.add_argument("--chi", type=int, default=2)
-    p.add_argument("--reps", type=int, default=3)
-    p.add_argument("--matching-file", default=None)
-    p.add_argument("--cf-file", default=None)
-    _add_model_flags(p, extra=("toy",))
-    _add_tau_flags(p)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--svg", default=None)
-    p.set_defaults(func=cmd_distance, config_cmd=True)
+    _add_curve_flags(p, "distance")
+    _add_model_flags(p)
+    p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("sample", help="randomized estimation with planned shots")
-    _add_model_flags(p, default="toy", extra=("toy",))
+    _add_model_flags(p, default="toy")
     p.add_argument("--observable", default="Z", help="Pauli string, e.g. ZI")
     p.add_argument("--mpf-file", default=None)
     p.add_argument("--kind", default="cw", choices=("cw", "matching", "cf"))
@@ -420,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("optimize", help="optimize node vectors")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", action=_ConfigFile, const=_CONFIG_SECTIONS["optimize"], help="ini file of defaults")
     p.add_argument("--kind", default=None, choices=("matching", "cf"))
     p.add_argument("--chi", type=int, default=2)
     p.add_argument("--R", type=int, default=3)
@@ -436,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-spec", default=None)
     p.add_argument("--out-result", default=None)
-    p.set_defaults(func=cmd_optimize, config_cmd=True)
+    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("slope", help="fit the order-scaling slope")
     p.add_argument("--method", required=True, choices=("ts", "cw", "matching", "cf"))
@@ -446,18 +415,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=float, default=0.5)
     p.add_argument("--t-min", type=float, default=1e-5, help="tau scan start")
     p.add_argument("--t-max", type=float, default=30.0, help="tau scan end")
-    _add_model_flags(p, default="anticommuting", extra=("toy",))
+    _add_model_flags(p)
     p.set_defaults(func=cmd_slope)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = list(argv) if argv is not None else sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if getattr(args, "config_cmd", False):
-            _apply_config_overrides(args, argv)
+        args = parser.parse_args(argv)
+        if getattr(args, "config", None):
+            args = parser.parse_args(argv)  # now with the config file's values as defaults
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -225,10 +225,6 @@ class ModelConfig:
     n: int = 6  # heisenberg sites / free-fermion sites (200 for the paper-scale run)
     N: int = 10  # SYK majorana count
     seed: int | None = None  # SYK coupling seed; mandatory for syk
-    t: float = 2.0
-    U: float = 2.0
-    mu: float = 0.25
-    h: float = 0.5
 
     def __post_init__(self):
         if self.name not in MODEL_NAMES:
@@ -245,7 +241,7 @@ def build_model(cfg: ModelConfig) -> HamiltonianSpec:
     if cfg.name == "syk":
         return syk(cfg.N, cfg.seed)
     if cfg.name == "hubbard":
-        return hubbard_2x2(t=cfg.t, U=cfg.U, mu=cfg.mu, h=cfg.h)
+        return hubbard_2x2()
     if cfg.name == "free_fermion":
         return free_fermion(cfg.n)[1]
     raise ValueError(f"unknown model {cfg.name!r}")

@@ -412,6 +412,8 @@ def build_matching(chi: int, R: int, b_list) -> MatchingMPF:
 
 def build_closedform(chi: int, R: int, b_list) -> ClosedFormMPF:
     """Assemble a closed-form formula from R+1 node vectors (shift block first)."""
+    if chi < 1 or R < 1:
+        raise ValueError("need chi >= 1 and R >= 1")
     if len(b_list) != R + 1:
         raise ValueError(f"closed-form needs {R + 1} node vectors, got {len(b_list)}")
     block0 = build_lblock(chi, R, b_list[0], closedform_nu(chi, R, 0))

@@ -82,20 +82,23 @@ def save_mpf_spec(spec: MPFSpec, path: str | Path) -> None:
 def load_mpf_spec(path: str | Path) -> MPFSpec:
     kv = _parse_kv(Path(path).read_text())
     kind = kv.get("kind")
-    chi = int(kv["chi"])
-    if kind == "cw":
-        ells = tuple(int(x) for x in kv["ells"].split())
-        spec = cw_coefficients(chi, int(kv["K"]), ells)
-    elif kind in ("matching", "cf"):
-        R = int(kv["R"])
-        first = 1 if kind == "matching" else 0
-        b_list = [
-            np.array([float(x) for x in kv[f"b{i}"].split()]) for i in range(first, R + 1)
-        ]
-        spec = build_matching(chi, R, b_list) if kind == "matching" else build_closedform(chi, R, b_list)
-    else:
-        raise ValueError(f"unknown spec kind {kind!r}")
-    stored_xi = float(kv["xi"])
+    try:
+        chi = int(kv["chi"])
+        if kind == "cw":
+            ells = tuple(int(x) for x in kv["ells"].split())
+            spec = cw_coefficients(chi, int(kv["K"]), ells)
+        elif kind in ("matching", "cf"):
+            R = int(kv["R"])
+            first = 1 if kind == "matching" else 0
+            b_list = [
+                np.array([float(x) for x in kv[f"b{i}"].split()]) for i in range(first, R + 1)
+            ]
+            spec = build_matching(chi, R, b_list) if kind == "matching" else build_closedform(chi, R, b_list)
+        else:
+            raise ValueError(f"unknown spec kind {kind!r}")
+        stored_xi = float(kv["xi"])
+    except KeyError as exc:
+        raise ValueError(f"spec file {path} has no {exc.args[0]!r} key") from None
     if abs(stored_xi - spec.resolution) > LOAD_RTOL * max(1.0, abs(stored_xi)):
         raise ValueError(
             f"stored resolution {stored_xi} disagrees with rebuilt {spec.resolution}; stale file?"
@@ -129,13 +132,15 @@ def save_optim_result(result: OptimResult, path: str | Path) -> None:
 def read_experiment_config(path: str | Path) -> dict[str, dict[str, str]]:
     """Read a sectioned key = value experiment config.
 
-    Sections: [experiment] (methods, chi, reps, tau grid), [model]
-    (name plus model parameters) and [output] (csv/svg paths).  Values stay
-    strings; the CLI owns their interpretation so flags and files share one
-    code path.
+    Sections: [experiment] (methods, chi, reps, tau grid), [model], [output]
+    (csv/svg paths) and [optimize].  Values stay strings, less inline ``;``
+    comments; the CLI makes them flag defaults, so flags and files share one
+    code path.  A missing or malformed file raises ``ValueError``.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(str(path))
-    if not read:
-        raise ValueError(f"config file not found: {path}")
-    return {section: dict(parser[section]) for section in parser.sections()}
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    try:
+        if not parser.read(str(path)):
+            raise ValueError(f"config file not found: {path}")
+        return {section: dict(parser[section]) for section in parser.sections()}
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path}: {exc}") from None

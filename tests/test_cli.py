@@ -240,3 +240,112 @@ def test_closed_stdout_exits_141_quietly(buffered):
         os.close(write_end)
     assert proc.returncode == 141
     assert proc.stderr == b""
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bounds", "--methods", "ts", "--tau-points", "2"],
+        ["distance", "--methods", "ts", "--tau-points", "2"],
+        ["optimize", "--hops", "1", "--chi", "1", "--R", "1"],
+    ],
+    ids=["bounds", "distance", "optimize"],
+)
+def test_readme_config_example_runs(capsys, tmp_path, monkeypatch, argv):
+    block = README.read_text().split("```ini\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "example.cfg").write_text(block)
+    monkeypatch.chdir(tmp_path)  # the example writes out.csv and out.svg
+    code, _, err = run(capsys, argv[0], "--config", "example.cfg", *argv[1:])
+    assert code == 0, err
+
+
+def test_explicit_flag_beats_renamed_config_key(capsys, tmp_path):
+    cfg = tmp_path / "opt.cfg"
+    spec_file = tmp_path / "m.mpf"
+    cfg.write_text(f"[optimize]\nkind = matching\nchi = 1\nr = 2\nhops = 1\nout_spec = {spec_file}\n")
+    code, out, _ = run(capsys, "optimize", "--config", str(cfg), "--R", "3")
+    assert code == 0
+    assert "R = 3" in out
+    assert "R = 3" in spec_file.read_text().splitlines()
+
+
+def _distance_config(tmp_path, text):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("[experiment]\nmethods = ts\nchi = 1\nreps = 2\ntau_points = 3\n\n[model]\nname = toy\n" + text)
+    return str(cfg)
+
+
+def test_distance_ignores_optimize_section(capsys, tmp_path):
+    cfg = _distance_config(tmp_path, "\n[optimize]\nchi = 2\n")
+    from_file, from_flags = tmp_path / "file.csv", tmp_path / "flags.csv"
+    assert run(capsys, "distance", "--config", cfg, "--csv", str(from_file))[0] == 0
+    flags = ["--methods", "ts", "--chi", "1", "--reps", "2", "--tau-points", "3", "--model", "toy"]
+    assert run(capsys, "distance", *flags, "--csv", str(from_flags))[0] == 0
+    assert from_file.read_bytes() == from_flags.read_bytes()
+
+
+def test_abbreviated_flag_beats_config(capsys, tmp_path):
+    csv = tmp_path / "d.csv"
+    code, _, _ = run(capsys, "distance", "--config", _distance_config(tmp_path, ""), "--tau-p", "2", "--csv", str(csv))
+    assert code == 0
+    assert len(csv.read_text().splitlines()) == 1 + 2 * 2
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[experiment]\nbogus = 1\n", "[experiment] bogus names no mpfsim bounds flag"),
+        ("[experiment\nchi = 1\n", "File contains no section headers"),
+    ],
+    ids=["unknown-key", "malformed"],
+)
+def test_bad_config_file_exit_2(capsys, tmp_path, text, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text)
+    code, _, err = run(capsys, "bounds", "--config", str(cfg))
+    assert code == 2
+    assert message in err
+
+
+def test_config_value_is_cast_by_its_flag(capsys, tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[experiment]\nchi = two\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "argument --chi: invalid int value: 'two'" in capsys.readouterr().err
+
+
+def test_second_config_file_exit_2(capsys, tmp_path):
+    cfg = _distance_config(tmp_path, "")
+    code, _, err = run(capsys, "distance", "--config", cfg, "--config", str(tmp_path / "other.cfg"))
+    assert code == 2
+    assert "give --config once" in err
+
+
+def test_spec_file_missing_key_exit_2(capsys, tmp_path):
+    spec_file = tmp_path / "cf.spec"
+    spec_file.write_text("kind = cf\nR = 2\n")
+    code, _, err = run(capsys, "bounds", "--methods", "cf", "--cf-file", str(spec_file))
+    assert code == 2
+    assert "has no 'chi' key" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--kind", "cf", "--chi", "1", "--R", "0"],
+        ["coeffs", "--kind", "cf", "--chi", "1", "--R", "-1"],
+        ["coeffs", "--kind", "cf", "--chi", "0"],
+        ["bounds", "--methods", "ts", "--reps", "0", "--tau-points", "2"],
+    ],
+    ids=["cf-R0", "cf-R-1", "cf-chi0", "ts-reps0"],
+)
+def test_order_below_one_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "need" in err and ">= 1" in err
+    assert out == ""
