@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-from .mpf import Layer, MPFSpec
+from .mpf import MPFSpec, branch_series
 from .operators import Observable, QuantumState, spectral_norm
 from .schedules import suzuki_merged_count
 
@@ -78,28 +78,17 @@ def cw_bound(chi: int, K: int, C: np.ndarray, Lambda: float, t: float) -> float:
     return (1.0 + g_factor(chi) ** n * one_norm) * (Lambda * t) ** n / math.factorial(n)
 
 
-def _weighted_scale_moment(layers: tuple[Layer, ...], n: int) -> float:
-    """sum over entry combinations of prod |C| times (sum |b| power)^n.
-
-    Evaluated as n! [z^n] prod_layers (sum_q |C_q| exp(|b_q| power_q z)); the
-    generating-function route keeps the cost polynomial where the nested sum
-    is exponential in the number of layers.
-    """
-    inv_k = 1.0 / np.arange(1, n + 1)
-    coeff = np.zeros(n + 1)
-    coeff[0] = 1.0
-    for layer in layers:
-        terms = np.ones((len(layer.b), n + 1))  # terms[q, k] = (|b_q| power_q)^k / k!
-        terms[:, 1:] = np.cumprod((np.abs(layer.b) * layer.power)[:, None] * inv_k, axis=1)
-        g = np.abs(layer.C) @ terms
-        coeff = np.convolve(coeff, g)[: n + 1]
-    return float(coeff[n]) * math.factorial(n)
-
-
 def zeta(spec: MPFSpec) -> float:
-    """Weight-and-scale factor: the moment of every branch at order 2chiR+1, summed."""
+    """Weight-and-scale factor: the moment of every branch at order n = 2chiR+1, summed.
+
+    A branch's moment, the sum over its entry combinations of prod |C| times
+    (sum |b| power)^n, is n! [z^n] prod_layers (sum_q |C_q| exp(|b_q| power_q z)),
+    read off :func:`~mpfsim.mpf.branch_series`; the generating-function route
+    keeps the cost polynomial where the nested sum is exponential in the
+    number of layers.
+    """
     n = 2 * spec.chi * spec.R + 1
-    return sum(_weighted_scale_moment(branch, n) for branch in spec.branches)
+    return sum(float(branch_series(branch, n, magnitudes=True)[n]) * math.factorial(n) for branch in spec.branches)
 
 
 zeta_matching = zeta_cf = zeta

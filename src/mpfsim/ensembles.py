@@ -103,7 +103,6 @@ class MaterializedEnsemble:
     """Ensemble with every entry operator evaluated at a fixed time."""
 
     branches: tuple[MaterializedBranch, ...]
-    branch_probs: np.ndarray
     resolution: float
     dim: int
 
@@ -130,7 +129,6 @@ def materialize(ens: SamplingEnsemble, H: HamiltonianSpec, t: float) -> Material
         )
     return MaterializedEnsemble(
         branches=tuple(branches),
-        branch_probs=np.array([b.probability for b in branches]),
         resolution=ens.resolution,
         dim=H.dim,
     )

@@ -49,8 +49,8 @@ __all__ = [
     "build_closedform",
     "mpf_matrix",
     "mpf_matrices",
+    "branch_series",
     "scalar_series",
-    "lblock_scalar_series",
     "mpf_ensemble",
 ]
 
@@ -247,27 +247,11 @@ def _poly_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _exp_series(scale: float, order: int) -> np.ndarray:
-    out = np.empty(order + 1)
-    out[0] = 1.0
-    for k in range(1, order + 1):
-        out[k] = out[k - 1] * scale / k
-    return out
-
-
 def _nu_series(nu: np.ndarray, order: int) -> np.ndarray:
     """Series sum_k nu_k x^k / k! truncated at ``order``."""
     out = np.zeros(order + 1)
     for k in range(min(len(nu), order + 1)):
         out[k] = nu[k] / math.factorial(k)
-    return out
-
-
-def lblock_scalar_series(b: np.ndarray, C: np.ndarray, order: int) -> np.ndarray:
-    """Scalar series of a block: sum_q C_q exp(b_q x), truncated."""
-    out = np.zeros(order + 1)
-    for bq, cq in zip(b, C):
-        out += cq * _exp_series(float(bq), order)
     return out
 
 
@@ -440,12 +424,15 @@ def mpf_matrices(spec: MPFSpec, H: HamiltonianSpec, ts: np.ndarray, cache=None) 
 
     ``cache`` maps a time scale b to the schedule matrices S(b t) over the
     grid; pass a shared :class:`~mpfsim.sweep.SuzukiGridCache` so formulas on
-    one grid reuse each other's schedule builds.
+    one grid reuse each other's schedule builds.  A cache built for another
+    Hamiltonian, order or grid raises ``ValueError``.
     """
     if cache is None:
         from .sweep import SuzukiGridCache  # sweep imports this module
 
         cache = SuzukiGridCache(H, spec.chi, ts)
+    elif cache.H is not H or cache.chi != spec.chi or not np.array_equal(cache.ts, ts):
+        raise ValueError("the schedule cache was built for another Hamiltonian, order or time grid")
     out = None
     for branch in spec.branches:
         prod = None
@@ -462,6 +449,23 @@ def mpf_matrices(spec: MPFSpec, H: HamiltonianSpec, ts: np.ndarray, cache=None) 
     return out
 
 
+def branch_series(layers, order: int, magnitudes: bool = False) -> np.ndarray:
+    """Coefficients in x^k of prod_layers sum_q C_q exp(b_q power_q x), through ``order``.
+
+    With ``magnitudes`` every C_q and b_q enters by its absolute value, the
+    form the bound's zeta reads.
+    """
+    inv_k = 1.0 / np.arange(1, order + 1)
+    coeff = np.zeros(order + 1)
+    coeff[0] = 1.0
+    for layer in layers:
+        C, b = (np.abs(layer.C), np.abs(layer.b)) if magnitudes else (layer.C, layer.b)
+        terms = np.ones((len(b), order + 1))  # terms[q, k] = (b_q power_q)^k / k!
+        terms[:, 1:] = np.cumprod((b * layer.power)[:, None] * inv_k, axis=1)
+        coeff = np.convolve(coeff, C @ terms)[: order + 1]
+    return coeff
+
+
 def scalar_series(spec: MPFSpec, order: int) -> np.ndarray:
     """Formal series of the formula with every block replaced by exact exponentials.
 
@@ -473,14 +477,7 @@ def scalar_series(spec: MPFSpec, order: int) -> np.ndarray:
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    out = np.zeros(order + 1)
-    for branch in spec.branches:
-        prod = None
-        for layer in branch:
-            series = lblock_scalar_series(layer.b * layer.power, layer.C, order)
-            prod = series if prod is None else _poly_mul(prod, series, order)
-        out += prod
-    return out
+    return sum(branch_series(branch, order) for branch in spec.branches)
 
 
 def mpf_ensemble(spec: MPFSpec, L: int) -> SamplingEnsemble:
@@ -494,22 +491,19 @@ def mpf_ensemble(spec: MPFSpec, L: int) -> SamplingEnsemble:
     ``resolution * E[sign * V] = mpf_matrix``.
     """
     sched = merge_adjacent(suzuki_schedule(spec.chi, L))
-    layers: dict[int, EnsembleLayer] = {}
 
     def ensemble_layer(layer: Layer) -> EnsembleLayer:
-        if id(layer) not in layers:
-            layers[id(layer)] = EnsembleLayer(
-                tuple(
-                    EnsembleEntry(
-                        float(p),
-                        1 if c >= 0 else -1,
-                        sched if n == 1 else repeat_schedule(sched, int(n)),
-                        float(b * n),
-                    )
-                    for p, c, b, n in zip(np.abs(layer.C) / layer.one_norm, layer.C, layer.b, layer.power)
+        return EnsembleLayer(
+            tuple(
+                EnsembleEntry(
+                    float(p),
+                    1 if c >= 0 else -1,
+                    sched if n == 1 else repeat_schedule(sched, int(n)),
+                    float(b * n),
                 )
+                for p, c, b, n in zip(np.abs(layer.C) / layer.one_norm, layer.C, layer.b, layer.power)
             )
-        return layers[id(layer)]
+        )
 
     weights = [math.prod(layer.one_norm for layer in branch) for branch in spec.branches]
     total = sum(weights)

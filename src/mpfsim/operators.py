@@ -70,8 +70,7 @@ class HermitianTerm:
     """One Hermitian Hamiltonian term with its eigendecomposition.
 
     The decomposition is computed once at construction and reused for every
-    exponential of this term; instances are immutable and safe to share
-    across threads.
+    exponential of this term; instances are immutable.
     """
 
     matrix: np.ndarray
@@ -162,16 +161,13 @@ def herm_expm(h: HermitianTerm, theta: float) -> np.ndarray:
 
 def exact_evolution(H: HamiltonianSpec, t: float, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     """Exact propagator exp(-i H t) of the summed Hamiltonian."""
-    if H.dim > max_dim:
-        raise ValueError(f"dimension {H.dim} exceeds configured maximum {max_dim}")
-    return herm_expm(H.total, t)
+    return exact_evolutions(H, [t], max_dim)[0]
 
 
 def exact_evolutions(H: HamiltonianSpec, ts: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
     """Batched exact propagators, shape ``(len(ts), dim, dim)``.
 
-    Slice i is computed as ``exact_evolution(H, ts[i])`` computes it, so the
-    two agree bit for bit.
+    Slice i equals ``herm_expm(H.total, ts[i])`` bit for bit.
     """
     if H.dim > max_dim:
         raise ValueError(f"dimension {H.dim} exceeds configured maximum {max_dim}")

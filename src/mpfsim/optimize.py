@@ -130,17 +130,14 @@ def spec_from_b(kind: str, chi: int, R: int, b_list):
 def loss(b_list, kind: str, chi: int, R: int, config: OptimizerConfig) -> float:
     """Loss of a candidate node set; +inf encodes every failure mode.
 
-    Repeated entries within a block, entries outside the box and
-    ill-conditioned weight systems all return +inf, which the simplex search
-    treats as an ordinary (terrible) value.  Unset config fields take their
-    per-kind defaults.
+    Entries outside the box and ill-conditioned weight systems, repeated
+    entries within a block among them, all return +inf, which the simplex
+    search treats as an ordinary (terrible) value.  Unset config fields take
+    their per-kind defaults.
     """
     config = _resolve(config, kind, chi, R)
     for b in b_list:
-        b = np.asarray(b)
         if np.max(np.abs(b)) > config.b_max:
-            return math.inf
-        if len(np.unique(b)) != len(b):
             return math.inf
     try:
         spec = spec_from_b(kind, chi, R, b_list)

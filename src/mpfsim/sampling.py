@@ -136,7 +136,7 @@ def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable)
             vecs = (m[:, None] @ vecs[None]).reshape(-1, *factor.shape)
         branches.append(_PreparedBranch(np.cumsum(probs), signs, basis @ vecs))
     return PreparedSampler(
-        branch_cum=np.cumsum(mat.branch_probs),
+        branch_cum=np.cumsum([br.probability for br in mat.branches]),
         branches=tuple(branches),
         eigenvalues=O.eigenvalues.copy(),
         resolution=mat.resolution,

@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .mpf import MPFSpec, build_closedform, build_matching, cw_coefficients
-from .optimize import OptimResult
+from .mpf import MPFSpec, cw_coefficients
+from .optimize import OptimResult, spec_from_b
 
 __all__ = [
     "format_float",
@@ -93,7 +93,7 @@ def load_mpf_spec(path: str | Path) -> MPFSpec:
             b_list = [
                 np.array([float(x) for x in kv[f"b{i}"].split()]) for i in range(first, R + 1)
             ]
-            spec = build_matching(chi, R, b_list) if kind == "matching" else build_closedform(chi, R, b_list)
+            spec = spec_from_b(kind, chi, R, b_list)
         else:
             raise ValueError(f"unknown spec kind {kind!r}")
         stored_xi = float(kv["xi"])

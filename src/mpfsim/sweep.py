@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Method, bound_for, ts_bound
-from .mpf import MPFSpec
+from .mpf import MPFSpec, cw_coefficients
 from .mpf import mpf_matrices as method_matrices
 from .operators import HamiltonianSpec, exact_evolutions, lambda_norm
 from .schedules import merge_adjacent, schedule_matrices, suzuki_schedule
@@ -73,13 +73,9 @@ class SuzukiGridCache:
 
 
 def ts_matrices(H: HamiltonianSpec, chi: int, r: int, ts: np.ndarray, cache: SuzukiGridCache | None = None) -> np.ndarray:
-    """Repeated Trotter-Suzuki approximant S_2chi(t/r)^r over the grid."""
-    cache = cache or SuzukiGridCache(H, chi, ts)
-    base = cache(1.0 / r)
-    out = base
-    for _ in range(r - 1):
-        out = out @ base
-    return out
+    """Repeated Trotter-Suzuki approximant S_2chi(t/r)^r over the grid: the
+    one-entry Childs-Wiebe formula ells = (r,), whose weight solves to exactly 1."""
+    return method_matrices(cw_coefficients(chi, 0, (r,)), H, ts, cache)
 
 
 def distance_curve(

@@ -17,6 +17,7 @@ from mpfsim.bounds import (
     resolution_shots,
     ts_bound,
     ts_oracle_calls,
+    zeta,
     zeta_cf,
     zeta_matching,
 )
@@ -29,6 +30,7 @@ from mpfsim.mpf import (
     cw_coefficients,
 )
 from mpfsim.operators import QuantumState, observable, pauli_string
+from mpfsim.optimize import default_initial_b, spec_from_b
 
 
 def hand_block(chi, R, b, C):
@@ -239,3 +241,40 @@ def test_lemma_closeness_random(seed, noise):
     assert holds
     eps = np.linalg.norm((U + E) - U, 2)
     assert lhs <= 2 * eps + eps**2 + 1e-12
+
+
+def _scale_moment_loop(layers, n):
+    """The zeta moment as one cumprod/convolve loop over layers: the float order zeta must keep."""
+    inv_k = 1.0 / np.arange(1, n + 1)
+    coeff = np.zeros(n + 1)
+    coeff[0] = 1.0
+    for layer in layers:
+        terms = np.ones((len(layer.b), n + 1))
+        terms[:, 1:] = np.cumprod((np.abs(layer.b) * layer.power)[:, None] * inv_k, axis=1)
+        g = np.abs(layer.C) @ terms
+        coeff = np.convolve(coeff, g)[: n + 1]
+    return float(coeff[n]) * math.factorial(n)
+
+
+def _zeta_reference(spec):
+    n = 2 * spec.chi * spec.R + 1
+    return sum(_scale_moment_loop(branch, n) for branch in spec.branches)
+
+
+@pytest.mark.parametrize("kind", ["matching", "cf"])
+@pytest.mark.parametrize("chi,R", [(1, 1), (1, 2), (2, 2), (2, 3), (3, 2)])
+def test_zeta_keeps_its_floating_point_order(kind, chi, R):
+    # The basin hopping amplifies one ulp of the loss into other nodes, so
+    # zeta must equal the reference loop exactly, not approximately.
+    m = 2 * chi * R + 1
+    specs = [spec_from_b(kind, chi, R, default_initial_b(chi, R, kind))]
+    rng = np.random.default_rng(100 * chi + R)
+    for _ in range(8):
+        if kind == "matching":
+            blocks = tuple(hand_block(chi, R, distinct_b(m, rng), rng.normal(size=m)) for _ in range(R))
+            specs.append(MatchingMPF(chi=chi, R=R, blocks=blocks, resolution=1.0))
+        else:
+            block0, *blocks = (hand_block(chi, R, distinct_b(m, rng), rng.normal(size=m)) for _ in range(R + 1))
+            specs.append(ClosedFormMPF(chi=chi, R=R, block0=block0, blocks=tuple(blocks), resolution=1.0))
+    for spec in specs:
+        assert zeta(spec) == _zeta_reference(spec)

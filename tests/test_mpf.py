@@ -10,12 +10,12 @@ from mpfsim.ensembles import enumerate_combos, materialize, mixture_mean
 from mpfsim.mpf import (
     IllConditionedSystemError,
     MatchingSolveError,
+    branch_series,
     build_closedform,
     build_lblock,
     build_matching,
     closedform_nu,
     cw_coefficients,
-    lblock_scalar_series,
     matching_nu,
     mpf_ensemble,
     mpf_matrix,
@@ -272,8 +272,7 @@ def test_block_with_basis_nu_gives_constant_series():
     b = np.array([1.0, -1.0, 2.0, -2.0, 3.0])
     nu = np.zeros(5)
     nu[0] = 1.0
-    C, _ = solve_vandermonde(b, nu)
-    series = lblock_scalar_series(b, C, 4)
+    series = branch_series((build_lblock(1, 2, b, nu),), 4)
     assert series[0] == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(series[1:])) < 1e-10
 

@@ -125,6 +125,7 @@ def test_exact_evolutions_slices_equal_single_time_calls(dim):
     batched = exact_evolutions(H, ts)
     assert batched.shape == (len(ts), dim, dim)
     for i, t in enumerate(ts):
+        assert np.array_equal(batched[i], herm_expm(H.total, t))
         assert np.array_equal(batched[i], exact_evolution(H, t))
 
 

@@ -299,11 +299,11 @@ def test_prepared_table_matches_enumeration(toy2q, kind, state):
     sampler = prepare_sampler(mat, rho, O)
     basis, factor = O.eigenvectors.conj().T, _state_factor(rho)
     combos = iter(enumerate_combos(mat))
-    for br_prob, br in zip(mat.branch_probs, sampler.branches):
+    for mat_br, br in zip(mat.branches, sampler.branches):
         probs = np.diff(br.combo_cum, prepend=0.0)
         for i in range(len(probs)):
             p, sign, op = next(combos)
-            assert probs[i] * br_prob == pytest.approx(p, abs=1e-12)
+            assert probs[i] * mat_br.probability == pytest.approx(p, abs=1e-12)
             assert br.combo_signs[i] == sign
             assert np.max(np.abs(br.combo_amps[i] - basis @ op @ factor)) <= 1e-12
     assert next(combos, None) is None

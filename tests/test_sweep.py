@@ -3,6 +3,7 @@ import pytest
 
 import mpfsim.sweep
 from mpfsim.bounds import Method
+from mpfsim.models import free_fermion, heisenberg
 from mpfsim.mpf import cw_coefficients, mpf_matrices
 from mpfsim.operators import (
     exact_evolutions,
@@ -65,6 +66,42 @@ def test_ts_matrices_repetition(toy):
     single = ts_matrices(toy, 1, 1, ts / 3)
     tripled = ts_matrices(toy, 1, 3, ts)
     assert spectral_distance(tripled[0], np.linalg.matrix_power(single[0], 3)) < 1e-13
+
+
+@pytest.mark.parametrize("model", ["toy", "heisenberg4", "free_fermion8"])
+@pytest.mark.parametrize("chi", [1, 2])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_ts_matrices_equals_power_multiplied_by_hand(toy, model, chi, r):
+    H = {"toy": toy, "heisenberg4": heisenberg(4), "free_fermion8": free_fermion(8)[1]}[model]
+    ts = np.logspace(-2, 0.5, 5)
+    cache = SuzukiGridCache(H, chi, ts)
+    base = cache(1.0 / r)
+    expected = base
+    for _ in range(r - 1):
+        expected = expected @ base
+    assert np.array_equal(ts_matrices(H, chi, r, ts, cache), expected)
+    assert np.array_equal(ts_matrices(H, chi, r, ts), expected)
+
+
+@pytest.mark.parametrize("mismatch", ["hamiltonian", "order", "grid", "length"])
+def test_cache_built_for_another_problem_is_rejected(toy, mismatch):
+    lam = lambda_norm(toy)
+    taus = np.logspace(-2, 0, 5)
+    ts = taus / lam
+    other = hamiltonian([pauli_string("X"), pauli_string("Y")], label="toy")
+    cache = {
+        "hamiltonian": SuzukiGridCache(other, 1, ts),
+        "order": SuzukiGridCache(toy, 2, ts),
+        "grid": SuzukiGridCache(toy, 1, 3 * ts),
+        "length": SuzukiGridCache(toy, 1, ts),
+    }[mismatch]
+    if mismatch == "length":
+        taus, ts = taus[:2], ts[:2]
+    with pytest.raises(ValueError, match="another"):
+        mpf_matrices(cw_coefficients(1, 1), toy, ts, cache)
+    for method, spec in ((Method.TROTTER_SUZUKI, None), (Method.CHILDS_WIEBE, cw_coefficients(1, 1))):
+        with pytest.raises(ValueError, match="another"):
+            distance_curve(toy, method, taus, 1, 2, spec, cache)
 
 
 def test_distance_curve_ts(toy):
