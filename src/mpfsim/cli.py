@@ -207,7 +207,9 @@ def _print_spec(spec: MPFSpec) -> None:
 
 
 def cmd_coeffs(args) -> int:
-    if args.b_file and args.kind != "cw":
+    if args.b_file and args.kind == "cw":
+        raise ValueError("--b-file gives node vectors; the cw kind has none")
+    if args.b_file:
         spec = spec_from_b(args.kind, args.chi, args.R, _read_b_file(args.b_file))
     else:
         spec = _default_spec(args.kind, args.chi, args.K, args.R)
@@ -361,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chi", type=int, required=True)
     p.add_argument("--K", type=int, default=2)
     p.add_argument("--R", type=int, default=3)
-    p.add_argument("--b-file", default=None, help="node vectors, one block per line")
+    p.add_argument("--b-file", default=None, help="node vectors, one block per line (matching, cf)")
     p.add_argument("--out", default=None, help="write the spec file here")
     p.set_defaults(func=cmd_coeffs)
 

@@ -43,7 +43,7 @@ class EnsembleEntry:
     probability: float
     sign: int
     schedule: ExponentSchedule
-    time_scale: float = 1.0
+    time_scale: float
 
 
 @dataclass(frozen=True)
@@ -145,18 +145,18 @@ def mixture_mean(mat: MaterializedEnsemble) -> np.ndarray:
     return out
 
 
-def enumerate_combos(mat: MaterializedEnsemble, cap: int = DEFAULT_COMBO_CAP):
+def enumerate_combos(mat: MaterializedEnsemble):
     """Yield every (probability, sign, operator) of the full joint draw.
 
     Exhaustive expansion of branches x per-layer entries; the brute-force
     reference for :func:`mixture_mean` in mixture-identity checks.  Raises
-    when the number of combinations in any branch exceeds ``cap``.
+    when the number of combinations in any branch exceeds ``DEFAULT_COMBO_CAP``.
     """
     for br in mat.branches:
         sizes = [len(p) for p in br.layer_probs]
         n_combos = int(np.prod(sizes)) if sizes else 1
-        if n_combos > cap:
-            raise ValueError(f"enumeration cap exceeded: {n_combos} > {cap}")
+        if n_combos > DEFAULT_COMBO_CAP:
+            raise ValueError(f"enumeration cap exceeded: {n_combos} > {DEFAULT_COMBO_CAP}")
         for combo in itertools.product(*[range(n) for n in sizes]):
             p = br.probability
             sign = 1

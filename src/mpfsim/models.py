@@ -26,13 +26,11 @@ __all__ = [
 ]
 
 
-def heisenberg(n: int, grouping: str = "bond") -> HamiltonianSpec:
+def heisenberg(n: int) -> HamiltonianSpec:
     """Heisenberg ring with a transverse field: -sum_<ij> (XX+YY+ZZ) + 2 sum X.
 
     Periodic boundary conditions; for n = 2 the single pair is counted once.
-    ``grouping="bond"`` keeps one Hermitian term per bond plus one field term
-    (L = n + 1); ``grouping="pauli"`` splits every Pauli string into its own
-    term.
+    One Hermitian term per bond plus one field term (L = n + 1).
     """
     if n < 2:
         raise ValueError("need n >= 2 sites")
@@ -49,24 +47,14 @@ def heisenberg(n: int, grouping: str = "bond") -> HamiltonianSpec:
         labels[i] = p
         return pauli_string(labels)
 
-    if grouping == "bond":
-        terms = [
-            hermitian_term(
-                -(two_site("X", i, j) + two_site("Y", i, j) + two_site("Z", i, j)),
-                label=f"bond({i},{j})",
-            )
-            for i, j in bonds
-        ]
-        terms.append(hermitian_term(2.0 * sum(one_site("X", i) for i in range(n)), label="field"))
-    elif grouping == "pauli":
-        terms = [
-            hermitian_term(-two_site(p, i, j), label=f"{p}{p}({i},{j})")
-            for i, j in bonds
-            for p in "XYZ"
-        ]
-        terms.extend(hermitian_term(2.0 * one_site("X", i), label=f"X({i})") for i in range(n))
-    else:
-        raise ValueError(f"unknown grouping {grouping!r}")
+    terms = [
+        hermitian_term(
+            -(two_site("X", i, j) + two_site("Y", i, j) + two_site("Z", i, j)),
+            label=f"bond({i},{j})",
+        )
+        for i, j in bonds
+    ]
+    terms.append(hermitian_term(2.0 * sum(one_site("X", i) for i in range(n)), label="field"))
     return hamiltonian(terms, label=f"heisenberg(n={n})")
 
 
@@ -129,29 +117,20 @@ def syk(N: int, seed: int) -> HamiltonianSpec:
     return hamiltonian(terms, label=f"syk(N={N},seed={seed})")
 
 
-def _hubbard_spec(
-    n_sites: int,
-    bonds: list[tuple[int, int]],
-    t: float,
-    U: float,
-    mu: float,
-    h: float,
-    ordering: str = "site-major",
-) -> HamiltonianSpec:
-    """Spinful Hubbard Hamiltonian on arbitrary bonds via Jordan-Wigner.
+HUBBARD_T, HUBBARD_U, HUBBARD_MU, HUBBARD_H = 2.0, 2.0, 0.25, 0.5
 
-    ``ordering`` fixes the qubit index of orbital (site, spin): site-major
-    packs the two spins of a site adjacently; spin-major packs all ups first.
-    Different orderings change Pauli weights but not the spectrum.
+
+def hubbard_2x2() -> HamiltonianSpec:
+    """Spinful Hubbard model on a 2x2 plaquette (8 qubits) via Jordan-Wigner.
+
+    Sites are numbered row-major (0 1 / 2 3) with the four plaquette edges as
+    bonds; orbital (site, spin) is qubit 2*site + spin, so the two spins of a
+    site sit adjacently.  Hopping HUBBARD_T, on-site repulsion HUBBARD_U,
+    chemical potential HUBBARD_MU and Zeeman field HUBBARD_H.
     """
+    n_sites = 4
+    bonds = [(0, 1), (2, 3), (0, 2), (1, 3)]
     n_modes = 2 * n_sites
-
-    def orb(site: int, spin: int) -> int:
-        if ordering == "site-major":
-            return 2 * site + spin
-        if ordering == "spin-major":
-            return site + spin * n_sites
-        raise ValueError(f"unknown ordering {ordering!r}")
 
     a = [jw_annihilation(j, n_modes) for j in range(n_modes)]
 
@@ -161,30 +140,18 @@ def _hubbard_spec(
     terms = []
     for i, j in bonds:
         for spin, spin_name in ((0, "up"), (1, "dn")):
-            p, q = orb(i, spin), orb(j, spin)
+            p, q = 2 * i + spin, 2 * j + spin
             hop = a[p].conj().T @ a[q]
-            terms.append(hermitian_term(-t * (hop + hop.conj().T), label=f"hop({i},{j},{spin_name})"))
+            terms.append(hermitian_term(-HUBBARD_T * (hop + hop.conj().T), label=f"hop({i},{j},{spin_name})"))
     for i in range(n_sites):
         terms.append(
-            hermitian_term(U * (num(orb(i, 0)) @ num(orb(i, 1))), label=f"coulomb({i})")
+            hermitian_term(HUBBARD_U * (num(2 * i) @ num(2 * i + 1)), label=f"coulomb({i})")
         )
     total_n = sum(num(p) for p in range(n_modes))
-    terms.append(hermitian_term(-mu * total_n, label="chemical"))
-    spin_imbalance = sum(num(orb(i, 0)) - num(orb(i, 1)) for i in range(n_sites))
-    terms.append(hermitian_term(-h * spin_imbalance, label="field"))
+    terms.append(hermitian_term(-HUBBARD_MU * total_n, label="chemical"))
+    spin_imbalance = sum(num(2 * i) - num(2 * i + 1) for i in range(n_sites))
+    terms.append(hermitian_term(-HUBBARD_H * spin_imbalance, label="field"))
     return hamiltonian(terms, label="hubbard")
-
-
-def hubbard_2x2(
-    t: float = 2.0, U: float = 2.0, mu: float = 0.25, h: float = 0.5
-) -> HamiltonianSpec:
-    """Spinful Hubbard model on a 2x2 plaquette (8 qubits).
-
-    Sites are numbered row-major (0 1 / 2 3) with the four plaquette edges as
-    bonds; orbital ordering is site-major, spin-minor.
-    """
-    bonds = [(0, 1), (2, 3), (0, 2), (1, 3)]
-    return _hubbard_spec(4, bonds, t=t, U=U, mu=mu, h=h, ordering="site-major")
 
 
 def free_fermion(n_sites: int) -> tuple[np.ndarray, HamiltonianSpec]:

@@ -57,6 +57,8 @@ __all__ = [
 CONDITION_LIMIT = 1e14
 RESIDUAL_RTOL = 1e-9
 REFINEMENT_STEPS = 2
+MATCHING_MAX_ITERATIONS = 200
+MATCHING_RESIDUAL_TARGET = 1e-12
 
 
 class IllConditionedSystemError(ValueError):
@@ -125,8 +127,6 @@ class LBlock:
     power.
     """
 
-    chi: int
-    R: int
     b: np.ndarray
     nu: np.ndarray
     C: np.ndarray
@@ -145,7 +145,7 @@ def build_lblock(chi: int, R: int, b: np.ndarray, nu: np.ndarray) -> LBlock:
     if len(b) != m or len(nu) != m:
         raise ValueError(f"block vectors must have length 2*chi*R+1 = {m}")
     C, cond = solve_vandermonde(b, nu)
-    return LBlock(chi=chi, R=R, b=b, nu=nu, C=C, one_norm=float(np.sum(np.abs(C))), cond=cond)
+    return LBlock(b=b, nu=nu, C=C, one_norm=float(np.sum(np.abs(C))), cond=cond)
 
 
 @dataclass(frozen=True)
@@ -298,15 +298,11 @@ def _matching_unpack(x: np.ndarray, chi: int, R: int) -> list[np.ndarray]:
 
 
 _MATCHING_TILTS = (1e-2, -1e-2, 5e-2, -5e-2, 0.1, -0.1, 0.3)
+# (chi, R) is every input of the solve: its budget is the two module constants.
 _matching_cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
 
 
-def matching_nu(
-    chi: int,
-    R: int,
-    max_iterations: int = 200,
-    residual_target: float = 1e-12,
-) -> list[np.ndarray]:
+def matching_nu(chi: int, R: int) -> list[np.ndarray]:
     """Solve the joint coefficient system of the matching formula.
 
     Newton iteration on truncated formal power series: the product of the R
@@ -329,10 +325,10 @@ def matching_nu(
             for j, k in enumerate(range(1, 2 * chi + 1)):
                 x[r * 2 * chi + j] = R ** (-float(k)) * (1.0 + tilt * (r - (R - 1) / 2.0) * k)
         converged = False
-        for _ in range(max_iterations):
+        for _ in range(MATCHING_MAX_ITERATIONS):
             F = _matching_residual(_matching_unpack(x, chi, R), chi, R)
             norm = float(np.max(np.abs(F)))
-            if norm <= residual_target:
+            if norm <= MATCHING_RESIDUAL_TARGET:
                 converged = True
                 break
             J = _matching_jacobian(_matching_unpack(x, chi, R), chi, R)
@@ -360,7 +356,7 @@ def matching_nu(
             return [nu.copy() for nu in nus]
     raise MatchingSolveError(
         f"no real matching solution found for chi={chi}, R={R} within "
-        f"{max_iterations} iterations (consider the closed-form kind instead)"
+        f"{MATCHING_MAX_ITERATIONS} iterations (consider the closed-form kind instead)"
     )
 
 

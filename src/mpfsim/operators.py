@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 HERMITICITY_RTOL = 1e-12
-DEFAULT_MAX_DIM = 2**10
+MAX_DIM = 2**10
 
 PAULI = {
     "I": np.eye(2, dtype=complex),
@@ -159,18 +159,18 @@ def herm_expm(h: HermitianTerm, theta: float) -> np.ndarray:
     return (h.eigenvectors * phases[None, :]) @ h.eigenvectors.conj().T
 
 
-def exact_evolution(H: HamiltonianSpec, t: float, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
+def exact_evolution(H: HamiltonianSpec, t: float) -> np.ndarray:
     """Exact propagator exp(-i H t) of the summed Hamiltonian."""
-    return exact_evolutions(H, [t], max_dim)[0]
+    return exact_evolutions(H, [t])[0]
 
 
-def exact_evolutions(H: HamiltonianSpec, ts: np.ndarray, max_dim: int = DEFAULT_MAX_DIM) -> np.ndarray:
+def exact_evolutions(H: HamiltonianSpec, ts: np.ndarray) -> np.ndarray:
     """Batched exact propagators, shape ``(len(ts), dim, dim)``.
 
     Slice i equals ``herm_expm(H.total, ts[i])`` bit for bit.
     """
-    if H.dim > max_dim:
-        raise ValueError(f"dimension {H.dim} exceeds configured maximum {max_dim}")
+    if H.dim > MAX_DIM:
+        raise ValueError(f"dimension {H.dim} exceeds configured maximum {MAX_DIM}")
     w, v = H.total.eigenvalues, H.total.eigenvectors
     phases = np.exp(-1j * np.asarray(ts, float)[:, None] * w)
     return (v * phases[:, None, :]) @ v.conj().T
@@ -202,9 +202,6 @@ class Observable:
     @property
     def dim(self) -> int:
         return self.matrix.shape[0]
-
-    def original_matrix(self) -> np.ndarray:
-        return self.scale * self.matrix
 
 
 def observable(matrix: np.ndarray, label: str = "O") -> Observable:

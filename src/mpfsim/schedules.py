@@ -36,30 +36,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExponentSchedule:
-    """Ordered exponent steps for L Hamiltonian terms.
-
-    ``chi`` records the Suzuki half-order the schedule realizes (0 for
-    ad-hoc sequences such as the first-order formula).
-    """
+    """Ordered exponent steps for L Hamiltonian terms."""
 
     steps: tuple[tuple[int, float], ...]
     L: int
-    chi: int
 
     def __post_init__(self):
         for k, _ in self.steps:
             if not 0 <= k < self.L:
                 raise ValueError(f"term index {k} out of range for L={self.L}")
 
-    def __len__(self) -> int:
-        return len(self.steps)
-
 
 def s1_schedule(L: int) -> ExponentSchedule:
     """First-order formula: every term once, ascending, alpha = 1."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    return ExponentSchedule(tuple((k, 1.0) for k in range(L)), L=L, chi=0)
+    return ExponentSchedule(tuple((k, 1.0) for k in range(L)), L=L)
 
 
 def s2_schedule(L: int) -> ExponentSchedule:
@@ -67,7 +59,7 @@ def s2_schedule(L: int) -> ExponentSchedule:
     if L < 1:
         raise ValueError("L must be >= 1")
     fwd = [(k, 0.5) for k in range(L)]
-    return ExponentSchedule(tuple(fwd + fwd[::-1]), L=L, chi=1)
+    return ExponentSchedule(tuple(fwd + fwd[::-1]), L=L)
 
 
 def suzuki_constant(chi: int) -> float:
@@ -86,7 +78,7 @@ def suzuki_schedule(chi: int, L: int) -> ExponentSchedule:
     steps: list[tuple[int, float]] = []
     for factor in (s, s, 1.0 - 4.0 * s, s, s):
         steps.extend((k, a * factor) for k, a in inner.steps)
-    return ExponentSchedule(tuple(steps), L=L, chi=chi)
+    return ExponentSchedule(tuple(steps), L=L)
 
 
 def merge_adjacent(s: ExponentSchedule) -> ExponentSchedule:
@@ -101,11 +93,11 @@ def merge_adjacent(s: ExponentSchedule) -> ExponentSchedule:
             merged[-1] = (k, merged[-1][1] + a)
         else:
             merged.append((k, a))
-    return ExponentSchedule(tuple(merged), L=s.L, chi=s.chi)
+    return ExponentSchedule(tuple(merged), L=s.L)
 
 
 def reverse_schedule(s: ExponentSchedule) -> ExponentSchedule:
-    return ExponentSchedule(tuple(reversed(s.steps)), L=s.L, chi=s.chi)
+    return ExponentSchedule(tuple(reversed(s.steps)), L=s.L)
 
 
 def repeat_schedule(s: ExponentSchedule, r: int) -> ExponentSchedule:
@@ -113,7 +105,7 @@ def repeat_schedule(s: ExponentSchedule, r: int) -> ExponentSchedule:
     if r < 1:
         raise ValueError("r must be >= 1")
     scaled = [(k, a / r) for k, a in s.steps]
-    return merge_adjacent(ExponentSchedule(tuple(scaled * r), L=s.L, chi=s.chi))
+    return merge_adjacent(ExponentSchedule(tuple(scaled * r), L=s.L))
 
 
 def merged_count(s: ExponentSchedule) -> int:

@@ -3,8 +3,8 @@
 The formats are flat ``key = value`` lines (vectors space-separated,
 17 significant digits) so files diff cleanly and need no external config
 language.  Loading a spec file re-solves the weight systems from the stored
-node vectors and cross-checks the stored weights and resolution, so stale or
-hand-edited files fail loudly.
+node vectors and cross-checks every stored value against the rebuilt spec,
+so stale or hand-edited files fail loudly.
 """
 
 from __future__ import annotations
@@ -79,6 +79,10 @@ def save_mpf_spec(spec: MPFSpec, path: str | Path) -> None:
     Path(path).write_text("\n".join(_spec_lines(spec)) + "\n")
 
 
+def _vector(text: str) -> np.ndarray:
+    return np.array([float(x) for x in text.split()])
+
+
 def load_mpf_spec(path: str | Path) -> MPFSpec:
     kv = _parse_kv(Path(path).read_text())
     kind = kv.get("kind")
@@ -90,19 +94,19 @@ def load_mpf_spec(path: str | Path) -> MPFSpec:
         elif kind in ("matching", "cf"):
             R = int(kv["R"])
             first = 1 if kind == "matching" else 0
-            b_list = [
-                np.array([float(x) for x in kv[f"b{i}"].split()]) for i in range(first, R + 1)
-            ]
-            spec = spec_from_b(kind, chi, R, b_list)
+            spec = spec_from_b(kind, chi, R, [_vector(kv[f"b{i}"]) for i in range(first, R + 1)])
         else:
             raise ValueError(f"unknown spec kind {kind!r}")
-        stored_xi = float(kv["xi"])
+        # Every value the writer writes must agree with the rebuilt spec's.
+        for key, value in _parse_kv("\n".join(_spec_lines(spec))).items():
+            if key == "kind":
+                continue
+            stored, rebuilt = _vector(kv[key]), _vector(value)
+            tol = LOAD_RTOL * max(1.0, np.max(np.abs(rebuilt)))
+            if stored.shape != rebuilt.shape or not np.max(np.abs(stored - rebuilt)) <= tol:
+                raise ValueError(f"stored {key} disagrees with rebuilt {value}; stale or hand-edited file?")
     except KeyError as exc:
         raise ValueError(f"spec file {path} has no {exc.args[0]!r} key") from None
-    if abs(stored_xi - spec.resolution) > LOAD_RTOL * max(1.0, abs(stored_xi)):
-        raise ValueError(
-            f"stored resolution {stored_xi} disagrees with rebuilt {spec.resolution}; stale file?"
-        )
     return spec
 
 

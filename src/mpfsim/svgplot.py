@@ -19,9 +19,9 @@ def _decades(lo: float, hi: float) -> list[int]:
 def log_log_plot(
     series: dict[str, tuple[list[float], list[float]]],
     path: str | Path,
-    title: str = "",
-    xlabel: str = "",
-    ylabel: str = "",
+    title: str,
+    xlabel: str,
+    ylabel: str,
 ) -> None:
     """Write a log-log SVG with one polyline per named series.
 
@@ -62,8 +62,7 @@ def log_log_plot(
         f'<rect x="{_MARGIN["left"]}" y="{_MARGIN["top"]}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="black"/>',
     ]
-    if title:
-        parts.append(f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>')
+    parts.append(f'<text x="{_WIDTH / 2}" y="24" text-anchor="middle" font-size="15">{title}</text>')
 
     for d in _decades(x_lo, x_hi):
         x = 10.0**d
@@ -86,16 +85,14 @@ def log_log_plot(
             parts.append(
                 f'<text x="{_MARGIN["left"] - 8}" y="{py(y) + 4:.1f}" text-anchor="end">1e{d}</text>'
             )
-    if xlabel:
-        parts.append(
-            f'<text x="{_MARGIN["left"] + plot_w / 2}" y="{_HEIGHT - 14}" '
-            f'text-anchor="middle">{xlabel}</text>'
-        )
-    if ylabel:
-        parts.append(
-            f'<text x="20" y="{_MARGIN["top"] + plot_h / 2}" text-anchor="middle" '
-            f'transform="rotate(-90 20 {_MARGIN["top"] + plot_h / 2})">{ylabel}</text>'
-        )
+    parts.append(
+        f'<text x="{_MARGIN["left"] + plot_w / 2}" y="{_HEIGHT - 14}" '
+        f'text-anchor="middle">{xlabel}</text>'
+    )
+    parts.append(
+        f'<text x="20" y="{_MARGIN["top"] + plot_h / 2}" text-anchor="middle" '
+        f'transform="rotate(-90 20 {_MARGIN["top"] + plot_h / 2})">{ylabel}</text>'
+    )
 
     for i, (name, (xs, ys)) in enumerate(cleaned.items()):
         color = _COLORS[i % len(_COLORS)]

@@ -38,9 +38,11 @@ __all__ = [
 # fit window from below.
 DISTANCE_NOISE_FLOOR = 1e-11
 
-# Slope fits: log-grid size, and the fewest clean points and decades of t
-# a fit may rest on.
+# Slope fits: log-grid size, the distance window a fitted point must lie in
+# (below it is float noise, above it the leading Taylor order no longer
+# dominates), and the fewest clean points and decades of t a fit may rest on.
 SLOPE_GRID_POINTS = 72
+SLOPE_WINDOW = (DISTANCE_NOISE_FLOOR, 1e-4)
 SLOPE_MIN_POINTS = 6
 SLOPE_MIN_SPAN_DECADES = 0.5
 
@@ -107,7 +109,6 @@ def distance_curve(
 @dataclass(frozen=True)
 class SlopeFit:
     slope: float
-    intercept: float
     t_window: tuple[float, float]
     n_points: int
 
@@ -116,32 +117,29 @@ def fit_order_slope(
     distances_fn,
     t_min: float = 1e-6,
     t_max: float = 3.0,
-    window: tuple[float, float] = (1e-11, 1e-4),
 ) -> SlopeFit:
     """Least-squares log-log slope fitted where distances are trustworthy.
 
     ``distances_fn(ts) -> distances`` is evaluated on a log grid; only points
-    with distance inside ``window`` enter the fit (below it is float noise,
-    above it the leading Taylor order no longer dominates).  Raises
+    with distance inside ``SLOPE_WINDOW`` enter the fit.  Raises
     ``ValueError`` when fewer than ``SLOPE_MIN_POINTS`` clean points remain or
     they span less than ``SLOPE_MIN_SPAN_DECADES`` decades of t.
     """
     ts = np.logspace(math.log10(t_min), math.log10(t_max), SLOPE_GRID_POINTS)
     dists = np.asarray(distances_fn(ts))
-    keep = (dists >= window[0]) & (dists <= window[1])
+    keep = (dists >= SLOPE_WINDOW[0]) & (dists <= SLOPE_WINDOW[1])
     if np.count_nonzero(keep) < SLOPE_MIN_POINTS:
         raise ValueError(
             f"insufficient clean points for a slope fit: {np.count_nonzero(keep)} "
-            f"in window {window}; widen the grid [{t_min}, {t_max}]"
+            f"in window {SLOPE_WINDOW}; widen the grid [{t_min}, {t_max}]"
         )
     tk, dk = ts[keep], dists[keep]
     span = math.log10(tk[-1] / tk[0])
     if span < SLOPE_MIN_SPAN_DECADES:
         raise ValueError(f"clean t-window spans only {span:.2f} decades (< {SLOPE_MIN_SPAN_DECADES})")
-    slope, intercept = np.polyfit(np.log10(tk), np.log10(dk), 1)
+    slope, _ = np.polyfit(np.log10(tk), np.log10(dk), 1)
     return SlopeFit(
         slope=float(slope),
-        intercept=float(intercept),
         t_window=(float(tk[0]), float(tk[-1])),
         n_points=int(len(tk)),
     )

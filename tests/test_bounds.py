@@ -33,10 +33,10 @@ from mpfsim.operators import QuantumState, observable, pauli_string
 from mpfsim.optimize import default_initial_b, spec_from_b
 
 
-def hand_block(chi, R, b, C):
+def hand_block(b, C):
     b = np.asarray(b, float)
     C = np.asarray(C, float)
-    return LBlock(chi=chi, R=R, b=b, nu=np.zeros(len(b)), C=C, one_norm=float(np.sum(np.abs(C))), cond=1.0)
+    return LBlock(b=b, nu=np.zeros(len(b)), C=C, one_norm=float(np.sum(np.abs(C))), cond=1.0)
 
 
 def brute_zeta_matching(spec):
@@ -126,7 +126,7 @@ def test_zeta_single_trivial_block():
 def test_zeta_two_schematic_blocks():
     # two blocks with C = (1/2, 1/2), b = (1, -1) at chi=1, R=2 (n = 5):
     # every of the 4 combinations has weight 1/4 and |b|-sum 2, so 4 * (1/4) * 2^5
-    blocks = (hand_block(1, 2, [1.0, -1.0], [0.5, 0.5]),) * 2
+    blocks = (hand_block([1.0, -1.0], [0.5, 0.5]),) * 2
     spec = MatchingMPF(chi=1, R=2, blocks=blocks, resolution=1.0)
     assert zeta_matching(spec) == pytest.approx(32.0, rel=1e-12)
     assert zeta_matching(spec) == pytest.approx(brute_zeta_matching(spec), rel=1e-12)
@@ -136,7 +136,7 @@ def test_zeta_two_schematic_blocks():
 @given(seed=st.integers(0, 2000))
 def test_zeta_matching_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
-    blocks = tuple(hand_block(1, 2, distinct_b(5, rng), rng.uniform(-1, 1, 5)) for _ in range(2))
+    blocks = tuple(hand_block(distinct_b(5, rng), rng.uniform(-1, 1, 5)) for _ in range(2))
     spec = MatchingMPF(chi=1, R=2, blocks=blocks, resolution=1.0)
     assert zeta_matching(spec) == pytest.approx(brute_zeta_matching(spec), rel=1e-12)
 
@@ -145,8 +145,8 @@ def test_zeta_matching_matches_brute_force(seed):
 @given(seed=st.integers(0, 2000))
 def test_zeta_cf_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
-    block0 = hand_block(1, 2, distinct_b(5, rng), rng.uniform(-1, 1, 5))
-    blocks = tuple(hand_block(1, 2, distinct_b(5, rng), rng.uniform(-1, 1, 5)) for _ in range(2))
+    block0 = hand_block(distinct_b(5, rng), rng.uniform(-1, 1, 5))
+    blocks = tuple(hand_block(distinct_b(5, rng), rng.uniform(-1, 1, 5)) for _ in range(2))
     spec = ClosedFormMPF(chi=1, R=2, block0=block0, blocks=blocks, resolution=1.0)
     assert zeta_cf(spec) == pytest.approx(brute_zeta_cf(spec), rel=1e-12)
 
@@ -271,10 +271,10 @@ def test_zeta_keeps_its_floating_point_order(kind, chi, R):
     rng = np.random.default_rng(100 * chi + R)
     for _ in range(8):
         if kind == "matching":
-            blocks = tuple(hand_block(chi, R, distinct_b(m, rng), rng.normal(size=m)) for _ in range(R))
+            blocks = tuple(hand_block(distinct_b(m, rng), rng.normal(size=m)) for _ in range(R))
             specs.append(MatchingMPF(chi=chi, R=R, blocks=blocks, resolution=1.0))
         else:
-            block0, *blocks = (hand_block(chi, R, distinct_b(m, rng), rng.normal(size=m)) for _ in range(R + 1))
+            block0, *blocks = (hand_block(distinct_b(m, rng), rng.normal(size=m)) for _ in range(R + 1))
             specs.append(ClosedFormMPF(chi=chi, R=R, block0=block0, blocks=tuple(blocks), resolution=1.0))
     for spec in specs:
         assert zeta(spec) == _zeta_reference(spec)

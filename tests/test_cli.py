@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import mpfsim
+import mpfsim.mpf
 from mpfsim.cli import main
+from mpfsim.serialize import load_mpf_spec
 
 
 def run(capsys, *argv):
@@ -34,6 +36,27 @@ def test_coeffs_matching_prints_blocks(capsys):
     code, out, _ = run(capsys, "coeffs", "--kind", "matching", "--chi", "1", "--R", "2")
     assert code == 0
     assert "cond" in out and "Xi =" in out
+
+
+def test_coeffs_b_file(capsys, tmp_path):
+    b_file = tmp_path / "nodes.txt"
+    b_file.write_text("1 -1 2 -2 3\n" * 3)
+    args = ["coeffs", "--kind", "cf", "--chi", "1", "--R", "2"]
+    assert run(capsys, *args, "--out", str(tmp_path / "default.mpf"))[0] == 0
+    assert run(capsys, *args, "--b-file", str(b_file), "--out", str(tmp_path / "b_file.mpf"))[0] == 0
+    assert (tmp_path / "b_file.mpf").read_bytes() == (tmp_path / "default.mpf").read_bytes()
+    code, _, err = run(capsys, "coeffs", "--kind", "cw", "--chi", "1", "--b-file", str(b_file))
+    assert code == 2
+    assert "--b-file" in err
+
+
+def test_matching_solve_failure_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr(mpfsim.mpf, "MATCHING_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(mpfsim.mpf, "MATCHING_RESIDUAL_TARGET", 1e-300)
+    monkeypatch.setattr(mpfsim.mpf, "_matching_cache", {})
+    code, _, err = run(capsys, "coeffs", "--kind", "matching", "--chi", "1", "--R", "4")
+    assert code == 3
+    assert "hint: the closed-form kind (--kind cf) always has coefficients" in err
 
 
 def test_malformed_flags_exit_2(capsys):
@@ -324,6 +347,51 @@ def test_second_config_file_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "distance", "--config", cfg, "--config", str(tmp_path / "other.cfg"))
     assert code == 2
     assert "give --config once" in err
+
+
+def _fill_stored_vector(path, key, fill):
+    """Overwrite every entry of the vector stored under ``key`` with ``fill``."""
+    lines = path.read_text().splitlines()
+    for i, line in enumerate(lines):
+        k, v = line.split(" = ", 1)
+        if k == key:
+            lines[i] = f"{k} = {' '.join([fill] * len(v.split()))}"
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "kind, key, fill, argv",
+    [
+        ("cf", "c1", "7", ["bounds", "--methods", "cf", "--chi", "2", "--reps", "3", "--cf-file"]),
+        ("cf", "nu2", "0", ["bounds", "--methods", "cf", "--chi", "2", "--reps", "3", "--cf-file"]),
+        ("cw", "C", "9", ["sample", "--mpf-file"]),
+    ],
+)
+def test_hand_edited_spec_file_exit_2(capsys, tmp_path, kind, key, fill, argv):
+    spec_file = tmp_path / f"{kind}.spec"
+    assert run(capsys, "coeffs", "--kind", kind, "--chi", "2", "--out", str(spec_file))[0] == 0
+    load_mpf_spec(spec_file)
+    _fill_stored_vector(spec_file, key, fill)
+    with pytest.raises(ValueError, match=f"stored {key} disagrees"):
+        load_mpf_spec(spec_file)
+    code, _, err = run(capsys, *argv, str(spec_file))
+    assert code == 2
+    assert f"stored {key} disagrees" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coeffs", "--kind", "matching", "--chi", "1", "--R", "2", "--out"],
+        ["optimize", "--kind", "matching", "--chi", "1", "--R", "2", "--hops", "1", "--out-spec"],
+        ["optimize", "--kind", "cf", "--chi", "1", "--R", "2", "--hops", "1", "--out-spec"],
+    ],
+)
+def test_written_spec_files_load(capsys, tmp_path, argv):
+    # coeffs-written cw and cf files load in test_hand_edited_spec_file_exit_2
+    spec_file = tmp_path / "written.spec"
+    assert run(capsys, *argv, str(spec_file))[0] == 0
+    assert load_mpf_spec(spec_file).kind == argv[2]
 
 
 def test_spec_file_missing_key_exit_2(capsys, tmp_path):

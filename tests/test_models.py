@@ -5,7 +5,6 @@ import pytest
 
 from mpfsim.models import (
     ModelConfig,
-    _hubbard_spec,
     anticommuting,
     build_model,
     free_fermion,
@@ -29,13 +28,6 @@ def test_heisenberg_lambda_n3():
     # plus the field term of norm 2 * 3
     H = heisenberg(3)
     assert lambda_norm(H) == pytest.approx(15.0, abs=1e-10)
-
-
-def test_heisenberg_pauli_grouping_same_total():
-    a = heisenberg(3, grouping="bond")
-    b = heisenberg(3, grouping="pauli")
-    assert b.L == 3 * 3 + 3
-    assert spectral_norm(a.total.matrix - b.total.matrix) < 1e-12
 
 
 def test_anticommuting_structure():
@@ -133,14 +125,6 @@ def test_hubbard_coulomb_spectrum():
 def test_hubbard_term_count():
     # four bonds x two spins, four on-site terms, one chemical, one field
     assert hubbard_2x2().L == 8 + 4 + 1 + 1
-
-
-def test_hubbard_spectrum_invariant_under_ordering():
-    a = _hubbard_spec(2, [(0, 1)], t=2.0, U=2.0, mu=0.25, h=0.5, ordering="site-major")
-    b = _hubbard_spec(2, [(0, 1)], t=2.0, U=2.0, mu=0.25, h=0.5, ordering="spin-major")
-    ea = np.sort(np.linalg.eigvalsh(a.total.matrix))
-    eb = np.sort(np.linalg.eigvalsh(b.total.matrix))
-    assert np.max(np.abs(ea - eb)) < 1e-10
 
 
 def test_free_fermion_structure():

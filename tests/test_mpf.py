@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mpfsim.ensembles
+import mpfsim.mpf
 from mpfsim.ensembles import enumerate_combos, materialize, mixture_mean
 from mpfsim.mpf import (
     IllConditionedSystemError,
@@ -148,9 +149,12 @@ def test_matching_nu_product_matches_exponential(chi, R):
         assert abs(prod[k] * math.factorial(k) - 1.0) <= 1e-10
 
 
-def test_matching_nu_budget_failure_raises():
+def test_matching_nu_budget_failure_raises(monkeypatch):
+    monkeypatch.setattr(mpfsim.mpf, "MATCHING_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(mpfsim.mpf, "MATCHING_RESIDUAL_TARGET", 1e-300)
+    monkeypatch.setattr(mpfsim.mpf, "_matching_cache", {})
     with pytest.raises(MatchingSolveError):
-        matching_nu(1, 4, max_iterations=1, residual_target=1e-300)
+        matching_nu(1, 4)
 
 
 # --- closed-form nu --------------------------------------------------------
