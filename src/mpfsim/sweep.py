@@ -1,10 +1,14 @@
 """Grid evaluation of approximation methods against exact evolution.
 
 Builds batched approximants over a time grid, reusing one order-2chi
-schedule evaluation per distinct time-scale value (the repetition scales
-1/r, the Childs-Wiebe nodes 1/l and every block node b share the cache) and
-one exact evolution per grid, and fits order-scaling slopes in an adaptive
-window above the double-precision noise floor.
+schedule evaluation per distinct time-scale magnitude |b| (the repetition
+scales 1/r, the Childs-Wiebe nodes 1/l and every block node b share the
+cache) and one exact evolution per grid, and fits order-scaling slopes in an
+adaptive window above the double-precision noise floor.
+
+The cache builds S_2chi(|b| t) by Suzuki's five-fold recursion from batched
+S_2 builds, and returns S(-|b| t) = S(|b| t)^dagger for a negative node: every
+Suzuki formula is palindromic.  Only the |b| entries are stored.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from .bounds import Method, bound_for, ts_bound
 from .mpf import MPFSpec, cw_coefficients
 from .mpf import mpf_matrices as method_matrices
 from .operators import HamiltonianSpec, exact_evolutions, lambda_norm
-from .schedules import merge_adjacent, schedule_matrices, suzuki_schedule
+from .schedules import merge_adjacent, s2_schedule, schedule_matrices, suzuki_constant
 
 __all__ = [
     "SuzukiGridCache",
@@ -48,16 +52,24 @@ SLOPE_MIN_SPAN_DECADES = 0.5
 
 
 class SuzukiGridCache:
-    """Batched order-2chi schedule evaluations over a fixed time grid.
+    """Batched order-2chi Suzuki evaluations S(b t) over a fixed time grid.
 
-    Each distinct time scale is built on its first lookup and kept.
+    S_2chi(|b| t) is built on the first lookup of |b| by the recursion
+    S_2chi(t) = S_2chi-2(s t)^2 S_2chi-2((1-4s) t) S_2chi-2(s t)^2 with
+    s = suzuki_constant(chi-1), down to batched S_2 builds: 2^(chi-1) of them
+    per |b|, each 2L-1 merged steps long.  A lookup of b < 0 returns the
+    conjugate transpose of the |b| entry, which equals S(b t) because the
+    formula is palindromic; it is computed on each such lookup and not
+    stored, so ``_cache`` holds only the |b| entries.  Results equal the
+    flat ``suzuki_schedule`` build in exact arithmetic, not bitwise.
     """
 
     def __init__(self, H: HamiltonianSpec, chi: int, ts: np.ndarray):
+        if chi < 1:
+            raise ValueError("chi must be >= 1")
         self.H = H
         self.chi = chi
         self.ts = np.asarray(ts, dtype=float)
-        self._sched = merge_adjacent(suzuki_schedule(chi, H.L))
         self._cache: dict[float, np.ndarray] = {}
         self._exact: np.ndarray | None = None
 
@@ -69,9 +81,20 @@ class SuzukiGridCache:
 
     def __call__(self, scale: float) -> np.ndarray:
         key = float(scale)
-        if key not in self._cache:
-            self._cache[key] = schedule_matrices(self._sched, self.H, key * self.ts)
-        return self._cache[key]
+        size = abs(key)
+        if size not in self._cache:
+            self._cache[size] = self._build(self.chi, size)
+        entry = self._cache[size]
+        return entry if key >= 0 else entry.conj().transpose(0, 2, 1)
+
+    def _build(self, chi: int, scale: float) -> np.ndarray:
+        """S_2chi(scale * t) over the grid, factors in the order ``suzuki_schedule`` concatenates."""
+        if chi == 1:
+            return schedule_matrices(merge_adjacent(s2_schedule(self.H.L)), self.H, scale * self.ts)
+        s = suzuki_constant(chi - 1)
+        outer = self._build(chi - 1, s * scale)
+        outer = outer @ outer
+        return outer @ self._build(chi - 1, (1.0 - 4.0 * s) * scale) @ outer
 
 
 def ts_matrices(H: HamiltonianSpec, chi: int, r: int, ts: np.ndarray, cache: SuzukiGridCache | None = None) -> np.ndarray:

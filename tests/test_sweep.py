@@ -3,7 +3,8 @@ import pytest
 
 import mpfsim.sweep
 from mpfsim.bounds import Method
-from mpfsim.models import free_fermion, heisenberg
+from mpfsim.cli import main
+from mpfsim.models import anticommuting, free_fermion, heisenberg
 from mpfsim.mpf import cw_coefficients, mpf_matrices
 from mpfsim.operators import (
     exact_evolutions,
@@ -13,6 +14,7 @@ from mpfsim.operators import (
     spectral_distance,
 )
 from mpfsim.optimize import default_initial_b, spec_from_b
+from mpfsim.schedules import merge_adjacent, schedule_matrices, suzuki_schedule
 from mpfsim.sweep import (
     SuzukiGridCache,
     distance_curve,
@@ -33,6 +35,56 @@ def test_cache_reuses_builds(toy):
     a = cache(0.5)
     b = cache(0.5)
     assert a is b
+
+
+def test_cache_rejects_order_below_one(toy):
+    with pytest.raises(ValueError, match="chi must be >= 1"):
+        SuzukiGridCache(toy, 0, np.array([0.1]))
+
+
+@pytest.mark.parametrize("model", ["toy", "heisenberg4", "free_fermion8", "anticommuting"])
+@pytest.mark.parametrize("chi", [1, 2, 3])
+@pytest.mark.parametrize("scale", [1.0, 0.5, -1.0, -7.0])
+def test_recursive_cache_matches_flat_schedule_build(toy, model, chi, scale):
+    H = {
+        "toy": toy,
+        "heisenberg4": heisenberg(4),
+        "free_fermion8": free_fermion(8)[1],
+        "anticommuting": anticommuting(),
+    }[model]
+    ts = np.logspace(-2, 0.5, 5)
+    got = SuzukiGridCache(H, chi, ts)(scale)
+    flat = schedule_matrices(merge_adjacent(suzuki_schedule(chi, H.L)), H, scale * ts)
+    if chi == 1 and scale > 0:
+        assert np.array_equal(got, flat)
+    assert np.max(np.abs(got - flat)) <= 1e-12
+
+
+def test_negative_scale_is_adjoint_and_not_stored(toy):
+    cache = SuzukiGridCache(toy, 2, np.array([0.1, 0.7]))
+    neg = cache(-3.0)
+    assert np.array_equal(neg, cache(3.0).conj().transpose(0, 2, 1))
+    assert list(cache._cache) == [3.0]
+
+
+def test_distance_builds_two_s2_grids_per_node_magnitude(monkeypatch, capsys):
+    builds = []
+
+    def counting(sched, H, ts):
+        builds.append((len(sched.steps), H.L, tuple(ts)))
+        return schedule_matrices(sched, H, ts)
+
+    monkeypatch.setattr(mpfsim.sweep, "schedule_matrices", counting)
+    argv = [
+        "distance", "--model", "toy", "--chi", "2", "--reps", "3",
+        "--methods", "ts,cw,matching,cf", "--tau-points", "3",
+    ]
+    assert main(argv) == 0
+    capsys.readouterr()
+    # the default chi = 2, R = 3 formulas use |b| = 1..7, 1/2 and 1/3
+    assert len(builds) == 2 * 9
+    assert all(steps == 2 * L - 1 for steps, L, _ in builds)
+    assert len({grid for _, _, grid in builds}) == len(builds)
 
 
 def test_method_matrices_is_mpf_matrices():
