@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .mpf import MPFSpec, branch_series
-from .operators import Observable, QuantumState, spectral_norm
+from .operators import Observable, QuantumState, sandwich, spectral_norm
 from .schedules import suzuki_merged_count
 
 __all__ = [
@@ -170,11 +170,6 @@ def lemma_closeness_check(
     Returns (lhs, rhs, holds).  Requires the stored observable norm <= 1,
     which :class:`Observable` guarantees by construction.
     """
-    dm = rho.as_density()
-    lhs = abs(
-        np.trace(O.matrix @ U @ dm @ U.conj().T).real
-        - Xi**2 * np.trace(O.matrix @ V @ dm @ V.conj().T).real
-    )
-    eps_hat = spectral_norm(Xi * V - U)
-    rhs = 3.0 * eps_hat
-    return float(lhs), float(rhs), bool(lhs <= rhs + 1e-12)
+    lhs = abs(sandwich(O, rho, U, U) - Xi**2 * sandwich(O, rho, V, V))
+    rhs = 3.0 * spectral_norm(Xi * V - U)
+    return lhs, rhs, bool(lhs <= rhs + 1e-12)

@@ -27,6 +27,7 @@ __all__ = [
     "exact_evolution",
     "spectral_distance",
     "expectation",
+    "sandwich",
     "lambda_norm",
 ]
 
@@ -84,24 +85,30 @@ class HermitianTerm:
         return self.matrix.shape[0]
 
 
-def hermitian_term(matrix: np.ndarray, label: str = "") -> HermitianTerm:
-    """Validate and wrap a Hermitian matrix.
+def _hermitian(a, what: str) -> np.ndarray:
+    """``a`` as a complex array: square, finite, Hermitian within HERMITICITY_RTOL.
 
-    Inputs failing the Hermiticity tolerance are rejected rather than
-    symmetrized: silent symmetrization would hide model-construction bugs.
+    Inputs failing the tolerance are rejected rather than symmetrized: silent
+    symmetrization would hide construction bugs.
     """
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"term {label!r}: matrix must be square, got shape {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError(f"term {label!r}: non-finite entries")
-    scale = spectral_norm(matrix)
-    herm_defect = spectral_norm(matrix - matrix.conj().T)
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{what}: matrix must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what}: non-finite entries")
+    scale = spectral_norm(a)
+    herm_defect = spectral_norm(a - a.conj().T)
     if herm_defect > HERMITICITY_RTOL * max(scale, 1e-300):
         raise ValueError(
-            f"term {label!r}: not Hermitian within {HERMITICITY_RTOL:g} relative "
+            f"{what}: not Hermitian within {HERMITICITY_RTOL:g} relative "
             f"(defect {herm_defect:.3e}, norm {scale:.3e})"
         )
+    return a
+
+
+def hermitian_term(matrix: np.ndarray, label: str = "") -> HermitianTerm:
+    """Validate (see :func:`_hermitian`) and wrap a Hermitian matrix."""
+    matrix = _hermitian(matrix, f"term {label!r}")
     try:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
@@ -216,75 +223,62 @@ def observable(matrix: np.ndarray, label: str = "O") -> Observable:
 
 
 class QuantumState:
-    """Pure state vector or density matrix; the two forms interconvert."""
+    """A state as its factor F, rho = F F†, read-only.
 
-    def __init__(self, vector: np.ndarray | None = None, density: np.ndarray | None = None):
-        if (vector is None) == (density is None):
-            raise ValueError("provide exactly one of vector or density")
-        if vector is not None:
-            vector = np.asarray(vector, dtype=complex).ravel()
-            nrm = np.linalg.norm(vector)
-            if abs(nrm - 1.0) > 1e-10:
-                raise ValueError(f"pure state must have unit norm, got {nrm}")
-            vector.setflags(write=False)
-        else:
-            density = np.asarray(density, dtype=complex)
-            if abs(np.trace(density) - 1.0) > 1e-10:
-                raise ValueError("density matrix must have unit trace")
-            w = np.linalg.eigvalsh(density)
-            if np.min(w) < -1e-10:
-                raise ValueError(f"density matrix not positive semidefinite (min eig {np.min(w):.3e})")
-            density.setflags(write=False)
-        self._vector = vector
-        self._density = density
+    A pure state's F is its vector as one column; a mixed state's F holds the
+    eigenvectors of weight w > 1e-14, each scaled by sqrt(w).  Build states
+    with :meth:`pure`, :meth:`basis` or :meth:`mixed`, which validate.
+    """
+
+    def __init__(self, factor: np.ndarray):
+        factor.setflags(write=False)
+        self.factor = factor
 
     @classmethod
     def pure(cls, vector: np.ndarray) -> "QuantumState":
-        return cls(vector=vector)
+        vector = np.asarray(vector, dtype=complex).ravel()
+        nrm = np.linalg.norm(vector)
+        if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
+            raise ValueError(f"pure state must have unit norm, got {nrm}")
+        return cls(vector[:, None])
 
     @classmethod
     def basis(cls, dim: int, index: int = 0) -> "QuantumState":
-        v = np.zeros(dim, dtype=complex)
-        v[index] = 1.0
-        return cls(vector=v)
+        return cls.pure(np.eye(1, dim, index, dtype=complex))
 
     @classmethod
     def mixed(cls, density: np.ndarray) -> "QuantumState":
-        return cls(density=density)
-
-    @property
-    def is_pure(self) -> bool:
-        return self._vector is not None
+        density = _hermitian(density, "density matrix")
+        if abs(np.trace(density) - 1.0) > 1e-10:
+            raise ValueError("density matrix must have unit trace")
+        w, v = np.linalg.eigh(density)
+        if np.min(w) < -1e-10:
+            raise ValueError(f"density matrix not positive semidefinite (min eig {np.min(w):.3e})")
+        keep = w > 1e-14
+        return cls(v[:, keep] * np.sqrt(w[keep])[None, :])
 
     @property
     def dim(self) -> int:
-        return self._vector.shape[0] if self._vector is not None else self._density.shape[0]
-
-    @property
-    def vector(self) -> np.ndarray:
-        if self._vector is None:
-            raise ValueError("state is a density matrix; no vector form")
-        return self._vector
+        return self.factor.shape[0]
 
     def as_density(self) -> np.ndarray:
-        if self._density is not None:
-            return self._density
-        return np.outer(self._vector, self._vector.conj())
+        return self.factor @ self.factor.conj().T
+
+
+def sandwich(O: Observable, rho: QuantumState, Vo: np.ndarray, Vb: np.ndarray) -> float:
+    """Re tr(O Vb rho Vo†) = Re vdot(Vo F, O Vb F), in normalized observable units.
+
+    The one implementation of every state expectation: pure and mixed states
+    differ only in the number of columns of their factor F.
+    """
+    if Vo.shape != (O.dim, O.dim) or Vb.shape != Vo.shape or rho.dim != O.dim:
+        raise ValueError("dimension mismatch between observable, state and operators")
+    return float(np.vdot(Vo @ rho.factor, O.matrix @ (Vb @ rho.factor)).real)
 
 
 def expectation(O: Observable, rho: QuantumState, V: np.ndarray) -> float:
     """Re tr(O V rho V†), in the observable's original units."""
-    V = np.asarray(V)
-    if V.shape != (O.dim, O.dim) or rho.dim != O.dim:
-        raise ValueError("dimension mismatch between observable, state and operator")
-    if rho.is_pure:
-        w = V @ rho.vector
-        val = np.vdot(w, O.matrix @ w)
-    else:
-        val = np.trace(O.matrix @ V @ rho.as_density() @ V.conj().T)
-    if abs(val.imag) > 1e-10 * max(1.0, abs(val.real)):
-        raise ValueError(f"expectation has non-negligible imaginary part {val.imag:.3e}")
-    return float(val.real) * O.scale
+    return sandwich(O, rho, V, V) * O.scale
 
 
 def lambda_norm(H: HamiltonianSpec) -> float:

@@ -7,6 +7,12 @@ of the X (x) O measurement by exact Born probabilities.  Signs absorbed from
 negative combination weights are carried as classical tags and multiplied
 into the estimator, which rescales by resolution^2.
 
+A state enters as its factor F with rho = F F† (one column for a pure
+state): the shot tables propagate the columns of F and every exact value is
+:func:`~mpfsim.operators.sandwich` of F, so pure and mixed states share one
+path.  Only a factor of more than one column is capped, at dimension
+``DENSITY_DIM_CAP``.
+
 Shot j of estimator stream s draws from the counter-based Philox stream
 keyed (seed, s, j): reproducibility is a property of the indices, not of
 execution order, so shots can run in any order or in parallel.
@@ -21,7 +27,7 @@ import numpy as np
 
 from .bounds import hoeffding_shots
 from .ensembles import DEFAULT_COMBO_CAP, MaterializedEnsemble, mixture_mean
-from .operators import Observable, QuantumState
+from .operators import Observable, QuantumState, sandwich
 
 __all__ = [
     "ShotRecord",
@@ -44,20 +50,12 @@ def hadamard_test_expectation(
 ) -> float:
     """Exact expectation of X (x) O after the two controlled arms.
 
-    Equals Re tr(O (Vo rho Vb† + Vb rho Vo†)) / 2; for a pure state this is
-    evaluated through the two-arm vector (|0> Vo|psi> + |1> Vb|psi>)/sqrt(2)
-    without materializing the doubled space.
+    Equals Re tr(O (Vo rho Vb† + Vb rho Vo†)) / 2 = Re tr(O Vb rho Vo†), the
+    :func:`~mpfsim.operators.sandwich` of the state factor F between the two
+    arms, in the observable's original units; the doubled ancilla space is
+    never materialized.
     """
-    if Vo.shape != (O.dim, O.dim) or Vb.shape != Vo.shape or rho.dim != O.dim:
-        raise ValueError("dimension mismatch")
-    if rho.is_pure:
-        a = Vo @ rho.vector
-        b = Vb @ rho.vector
-        val = np.vdot(a, O.matrix @ b).real
-    else:
-        dm = rho.as_density()
-        val = 0.5 * np.trace(O.matrix @ (Vo @ dm @ Vb.conj().T + Vb @ dm @ Vo.conj().T)).real
-    return float(val) * O.scale
+    return sandwich(O, rho, Vo, Vb) * O.scale
 
 
 @dataclass(frozen=True)
@@ -100,18 +98,6 @@ class PreparedSampler:
     scale: float
 
 
-def _state_factor(rho: QuantumState) -> np.ndarray:
-    """Columns F with rho = F F†: the vector itself for pure states."""
-    if rho.is_pure:
-        return rho.vector[:, None]
-    if rho.dim > DENSITY_DIM_CAP:
-        raise ValueError(f"density-matrix sampling capped at dim {DENSITY_DIM_CAP}")
-    w, v = np.linalg.eigh(rho.as_density())
-    w = np.clip(w, 0.0, None)
-    keep = w > 1e-14
-    return v[:, keep] * np.sqrt(w[keep])[None, :]
-
-
 def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable) -> PreparedSampler:
     """Precompute per-combination amplitudes for fast repeated shots.
 
@@ -122,18 +108,19 @@ def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable)
     """
     if rho.dim != mat.dim or O.dim != mat.dim:
         raise ValueError("dimension mismatch")
-    factor = _state_factor(rho)
+    if rho.factor.shape[1] > 1 and rho.dim > DENSITY_DIM_CAP:
+        raise ValueError(f"density-matrix sampling capped at dim {DENSITY_DIM_CAP}")
     basis = O.eigenvectors.conj().T
     branches = []
     for br in mat.branches:
         n_combos = math.prod(len(p) for p in br.layer_probs)
         if n_combos > DEFAULT_COMBO_CAP:
             raise ValueError(f"enumeration cap exceeded: {n_combos}")
-        probs, signs, vecs = np.ones(1), np.ones(1, dtype=int), factor[None]
+        probs, signs, vecs = np.ones(1), np.ones(1, dtype=int), rho.factor[None]
         for p, s, m in reversed(list(zip(br.layer_probs, br.layer_signs, br.layer_matrices))):
             probs = np.multiply.outer(p, probs).ravel()
             signs = np.multiply.outer(s, signs).ravel()
-            vecs = (m[:, None] @ vecs[None]).reshape(-1, *factor.shape)
+            vecs = (m[:, None] @ vecs[None]).reshape(-1, *rho.factor.shape)
         branches.append(_PreparedBranch(np.cumsum(probs), signs, basis @ vecs))
     return PreparedSampler(
         branch_cum=np.cumsum([br.probability for br in mat.branches]),
@@ -178,8 +165,7 @@ def expected_value(mat: MaterializedEnsemble, rho: QuantumState, O: Observable) 
     factors).
     """
     vbar = mixture_mean(mat)
-    dm = rho.as_density()
-    return float(np.trace(O.matrix @ vbar @ dm @ vbar.conj().T).real)
+    return sandwich(O, rho, vbar, vbar)
 
 
 def shot_rng(seed: int, stream: int, shot: int) -> np.random.Generator:

@@ -203,6 +203,22 @@ def test_quantum_state_validation_and_conversion():
     s = QuantumState.basis(2, 1)
     assert np.allclose(s.as_density(), np.diag([0.0, 1.0]))
     m = QuantumState.mixed(np.diag([0.5, 0.5]))
-    assert not m.is_pure
-    with pytest.raises(ValueError):
-        _ = m.vector
+    assert s.factor.shape == (2, 1) and m.factor.shape == (2, 2)
+    assert not m.factor.flags.writeable
+
+
+def test_quantum_state_rejects_non_finite_states():
+    with pytest.raises(ValueError, match="unit norm"):
+        QuantumState.pure([np.nan, 0.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        QuantumState.mixed([[np.inf, 0.0], [0.0, 0.5]])
+
+
+def test_quantum_state_rejects_non_hermitian_density():
+    # Unit trace, and the lower triangle that eigh reads is I/2; not a density.
+    with pytest.raises(ValueError, match="not Hermitian"):
+        QuantumState.mixed([[0.5, 0.9], [0.0, 0.5]])
+    # A defect inside HERMITICITY_RTOL is accepted.
+    dm = np.diag([0.5, 0.5]).astype(complex)
+    dm[0, 1] = 1e-15
+    assert QuantumState.mixed(dm).factor.shape == (2, 2)

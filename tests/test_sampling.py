@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpfsim.bounds import hoeffding_shots
+from mpfsim.bounds import hoeffding_shots, lemma_closeness_check
 from mpfsim.ensembles import (
     EnsembleBranch,
     EnsembleEntry,
@@ -9,6 +9,7 @@ from mpfsim.ensembles import (
     SamplingEnsemble,
     enumerate_combos,
     materialize,
+    mixture_mean,
 )
 from mpfsim.mpf import cw_coefficients, mpf_ensemble, mpf_matrix
 from mpfsim.operators import (
@@ -20,7 +21,6 @@ from mpfsim.operators import (
 )
 from mpfsim.optimize import default_initial_b, spec_from_b
 from mpfsim.sampling import (
-    _state_factor,
     coverage_experiment,
     expected_value,
     hadamard_test_expectation,
@@ -273,6 +273,44 @@ def test_density_path_dimension_cap():
     rho = QuantumState.mixed(np.eye(big) / big)
     with pytest.raises(ValueError, match="capped"):
         prepare_sampler(mat, rho, O)
+    with pytest.raises(ValueError, match="capped"):
+        prepare_sampler(mat, QuantumState.mixed(np.diag([0.5, 0.5] + [0.0] * (big - 2))), O)
+    # The cap is on factors of several columns: a rank-one density samples.
+    v = np.zeros(big, dtype=complex)
+    v[3] = 1.0
+    sampler = prepare_sampler(mat, QuantumState.mixed(np.outer(v, v)), O)
+    assert sampler.branches[0].combo_amps.shape == (1, big, 1)
+
+
+def _random_matrix(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2, 3, 4])
+def test_factor_kernel_matches_density_formulas(cw_setup, rank):
+    """The factor kernel against the density products it replaced (rank 0: pure)."""
+    _, _, mat, _, _ = cw_setup
+    rng = np.random.default_rng(40 + rank)
+    h = _random_matrix(rng, 4)
+    O = observable(h + h.conj().T)
+    assert O.scale > 1.0
+    Vo, Vb = _random_matrix(rng, 4), _random_matrix(rng, 4)
+    F = rng.normal(size=(4, max(rank, 1))) + 1j * rng.normal(size=(4, max(rank, 1)))
+    F /= np.linalg.norm(F)
+    dm = F @ F.conj().T
+    rho = QuantumState.pure(F[:, 0]) if rank == 0 else QuantumState.mixed(dm)
+
+    def tr(U, W):
+        return np.trace(O.matrix @ U @ dm @ W.conj().T).real
+
+    hadamard = 0.5 * np.trace(O.matrix @ (Vo @ dm @ Vb.conj().T + Vb @ dm @ Vo.conj().T)).real
+    assert hadamard_test_expectation(Vo, Vb, rho, O) == pytest.approx(hadamard * O.scale, abs=1e-12)
+    assert expectation(O, rho, Vo) == pytest.approx(tr(Vo, Vo) * O.scale, abs=1e-12)
+    vbar = mixture_mean(mat)
+    assert expected_value(mat, rho, O) == pytest.approx(tr(vbar, vbar), abs=1e-12)
+    xi = 1.3
+    lhs, _, _ = lemma_closeness_check(Vo, Vb, xi, O, rho)
+    assert lhs == pytest.approx(abs(tr(Vo, Vo) - xi**2 * tr(Vb, Vb)), abs=1e-12)
 
 
 def test_shot_rng_rejects_negative_seed():
@@ -297,7 +335,7 @@ def test_prepared_table_matches_enumeration(toy2q, kind, state):
         rho = QuantumState.mixed(dm / np.trace(dm).real)
     O = observable(pauli_string("ZX"))
     sampler = prepare_sampler(mat, rho, O)
-    basis, factor = O.eigenvectors.conj().T, _state_factor(rho)
+    basis, factor = O.eigenvectors.conj().T, rho.factor
     combos = iter(enumerate_combos(mat))
     for mat_br, br in zip(mat.branches, sampler.branches):
         probs = np.diff(br.combo_cum, prepend=0.0)
