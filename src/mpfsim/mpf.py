@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -59,6 +59,7 @@ RESIDUAL_RTOL = 1e-9
 REFINEMENT_STEPS = 2
 MATCHING_MAX_ITERATIONS = 200
 MATCHING_RESIDUAL_TARGET = 1e-12
+BLOCK_MEMO_SIZE = 64
 
 
 class IllConditionedSystemError(ValueError):
@@ -119,8 +120,30 @@ def solve_vandermonde(b: np.ndarray, nu: np.ndarray) -> tuple[np.ndarray, float]
     return best, cond
 
 
+class _SeriesMemo:
+    """Each layer's sum_q C_q exp(b_q power_q x) series, computed once per (order, magnitudes)."""
+
+    @cached_property
+    def _series(self) -> dict[tuple[int, bool], np.ndarray]:
+        return {}
+
+    def series(self, order: int, magnitudes: bool = False) -> np.ndarray:
+        """Read-only coefficients in x^k of sum_q C_q exp(b_q power_q x), through ``order``."""
+        key = (order, magnitudes)
+        out = self._series.get(key)
+        if out is None:
+            C, b = (np.abs(self.C), np.abs(self.b)) if magnitudes else (self.C, self.b)
+            inv_k = 1.0 / np.arange(1, order + 1)
+            terms = np.ones((len(b), order + 1))  # terms[q, k] = (b_q power_q)^k / k!
+            terms[:, 1:] = np.cumprod((b * self.power)[:, None] * inv_k, axis=1)
+            out = C @ terms
+            out.setflags(write=False)
+            self._series[key] = out
+        return out
+
+
 @dataclass(frozen=True)
-class LBlock:
+class LBlock(_SeriesMemo):
     """One node block: weights C realizing target coefficients nu at nodes b.
 
     A block is also a layer of the canonical form, every entry to the first
@@ -138,22 +161,45 @@ class LBlock:
         return np.ones(len(self.b), dtype=int)
 
 
-def build_lblock(chi: int, R: int, b: np.ndarray, nu: np.ndarray) -> LBlock:
-    b = np.asarray(b, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    m = 2 * chi * R + 1
-    if len(b) != m or len(nu) != m:
-        raise ValueError(f"block vectors must have length 2*chi*R+1 = {m}")
-    C, cond = solve_vandermonde(b, nu)
+@lru_cache(maxsize=BLOCK_MEMO_SIZE)
+def _solved_block(b_bytes: bytes, nu_bytes: bytes) -> LBlock | str:
+    """The block of one (b, nu) system, or the message its solve failed with."""
+    b, nu = np.frombuffer(b_bytes), np.frombuffer(nu_bytes)  # read-only views
+    try:
+        C, cond = solve_vandermonde(b, nu)  # the module global, so wrappers see each real solve
+    except IllConditionedSystemError as exc:
+        return str(exc)  # not the exception: it would pin its traceback's frames
+    C.setflags(write=False)
     return LBlock(b=b, nu=nu, C=C, one_norm=float(np.sum(np.abs(C))), cond=cond)
 
 
+def build_lblock(chi: int, R: int, b: np.ndarray, nu: np.ndarray) -> LBlock:
+    """The block realizing ``nu`` at nodes ``b`` (each of length 2*chi*R+1).
+
+    Solves are memoized: the last ``BLOCK_MEMO_SIZE`` distinct (b, nu)
+    systems, keyed by their bytes, are solved once and their read-only
+    blocks (b, nu and C frozen) shared, and a failed solve re-raises
+    :class:`IllConditionedSystemError` with its first message.  A node
+    search revisits most blocks (the simplex's axis steps and shrinks move
+    only some blocks), so most builds are lookups.  A block equals the one
+    a fresh solve gives, bit for bit.
+    """
+    b = np.asarray(b, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    m = 2 * chi * R + 1
+    if b.shape != (m,) or nu.shape != (m,):
+        raise ValueError(f"block vectors must have length 2*chi*R+1 = {m}")
+    block = _solved_block(b.tobytes(), nu.tobytes())
+    if isinstance(block, str):
+        raise IllConditionedSystemError(block)
+    return block
+
+
 @dataclass(frozen=True)
-class Layer:
+class Layer(_SeriesMemo):
     """One layer of the canonical form: sum_q C_q S(b_q t)^power_q.
 
-    Anything with these four attributes is a layer; node blocks
-    (:class:`LBlock`) serve as layers directly.
+    Node blocks (:class:`LBlock`) serve as layers directly.
     """
 
     C: np.ndarray
@@ -364,20 +410,30 @@ def closedform_nu(chi: int, R: int, n: int) -> np.ndarray:
     """Target coefficient vector of closed-form block ``n`` (0 = shift block)."""
     if not 0 <= n <= R:
         raise ValueError("need 0 <= n <= R")
+    return _closedform_nus(chi, R)[n].copy()
+
+
+@lru_cache(maxsize=None)
+def _closedform_nus(chi: int, R: int) -> tuple[np.ndarray, ...]:
+    """The R+1 closed-form target vectors, built once per (chi, R), read-only."""
     m = 2 * chi * R + 1
-    nu = np.zeros(m)
-    if n == 0:
-        nu[2 * chi] = 1.0
-    elif n == 1:
-        nu[: 2 * chi + 1] = 1.0
-    else:
-        for k in range(1, 2 * chi + 1):
-            nu[k] = (
-                math.factorial(k)
-                * math.factorial(2 * chi) ** (n - 1)
-                / math.factorial(2 * chi * (n - 1) + k)
-            )
-    return nu
+    nus = []
+    for n in range(R + 1):
+        nu = np.zeros(m)
+        if n == 0:
+            nu[2 * chi] = 1.0
+        elif n == 1:
+            nu[: 2 * chi + 1] = 1.0
+        else:
+            for k in range(1, 2 * chi + 1):
+                nu[k] = (
+                    math.factorial(k)
+                    * math.factorial(2 * chi) ** (n - 1)
+                    / math.factorial(2 * chi * (n - 1) + k)
+                )
+        nu.setflags(write=False)
+        nus.append(nu)
+    return tuple(nus)
 
 
 def build_matching(chi: int, R: int, b_list) -> MatchingMPF:
@@ -396,10 +452,8 @@ def build_closedform(chi: int, R: int, b_list) -> ClosedFormMPF:
         raise ValueError("need chi >= 1 and R >= 1")
     if len(b_list) != R + 1:
         raise ValueError(f"closed-form needs {R + 1} node vectors, got {len(b_list)}")
-    block0 = build_lblock(chi, R, b_list[0], closedform_nu(chi, R, 0))
-    blocks = tuple(
-        build_lblock(chi, R, b_list[n], closedform_nu(chi, R, n)) for n in range(1, R + 1)
-    )
+    block0, *rest = (build_lblock(chi, R, b, nu) for b, nu in zip(b_list, _closedform_nus(chi, R)))
+    blocks = tuple(rest)
     resolution = float(
         sum(block0.one_norm ** (r - 1) * blocks[r - 1].one_norm for r in range(1, R + 1))
     )
@@ -449,16 +503,16 @@ def branch_series(layers, order: int, magnitudes: bool = False) -> np.ndarray:
     """Coefficients in x^k of prod_layers sum_q C_q exp(b_q power_q x), through ``order``.
 
     With ``magnitudes`` every C_q and b_q enters by its absolute value, the
-    form the bound's zeta reads.
+    form the bound's zeta reads.  Each layer's own series is computed once
+    per (order, magnitudes) and kept on the layer, so a block repeated
+    within a formula, or shared through the block memo of
+    :func:`build_lblock` (at most ``BLOCK_MEMO_SIZE`` blocks), is not
+    expanded again.
     """
-    inv_k = 1.0 / np.arange(1, order + 1)
     coeff = np.zeros(order + 1)
     coeff[0] = 1.0
     for layer in layers:
-        C, b = (np.abs(layer.C), np.abs(layer.b)) if magnitudes else (layer.C, layer.b)
-        terms = np.ones((len(b), order + 1))  # terms[q, k] = (b_q power_q)^k / k!
-        terms[:, 1:] = np.cumprod((b * layer.power)[:, None] * inv_k, axis=1)
-        coeff = np.convolve(coeff, C @ terms)[: order + 1]
+        coeff = np.convolve(coeff, layer.series(order, magnitudes))[: order + 1]
     return coeff
 
 

@@ -107,8 +107,11 @@ def _hermitian(a, what: str) -> np.ndarray:
 
 
 def hermitian_term(matrix: np.ndarray, label: str = "") -> HermitianTerm:
-    """Validate (see :func:`_hermitian`) and wrap a Hermitian matrix."""
-    matrix = _hermitian(matrix, f"term {label!r}")
+    """Validate (see :func:`_hermitian`) and wrap a copy of a Hermitian matrix.
+
+    The term freezes its own copy; the caller's array stays writable.
+    """
+    matrix = _hermitian(np.array(matrix, dtype=complex), f"term {label!r}")
     try:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:

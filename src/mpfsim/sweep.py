@@ -136,14 +136,12 @@ class SlopeFit:
     n_points: int
 
 
-def fit_order_slope(
-    distances_fn,
-    t_min: float = 1e-6,
-    t_max: float = 3.0,
-) -> SlopeFit:
+def fit_order_slope(distances_fn, t_min: float, t_max: float) -> SlopeFit:
     """Least-squares log-log slope fitted where distances are trustworthy.
 
-    ``distances_fn(ts) -> distances`` is evaluated on a log grid; only points
+    ``distances_fn(ts) -> distances`` is evaluated on a log grid over
+    [``t_min``, ``t_max``] (the ``slope`` command's ``--t-min``/``--t-max``
+    declare the program's range); only points
     with distance inside ``SLOPE_WINDOW`` enter the fit.  Raises
     ``ValueError`` when fewer than ``SLOPE_MIN_POINTS`` clean points remain or
     they span less than ``SLOPE_MIN_SPAN_DECADES`` decades of t.

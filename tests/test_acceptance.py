@@ -148,7 +148,7 @@ def test_criterion_03_order_scaling_slopes():
             approx = builder(ts)
             return [spectral_distance(exact[i], approx[i]) for i in range(len(ts))]
 
-        return fit_order_slope(distances).slope
+        return fit_order_slope(distances, t_min=1e-6, t_max=3.0).slope
 
     cases = [
         ("S2", slope_of(anti, lambda ts: ts_matrices(anti, 1, 1, ts)), 3.0, 0.15),

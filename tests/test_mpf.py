@@ -9,6 +9,7 @@ import mpfsim.ensembles
 import mpfsim.mpf
 from mpfsim.ensembles import enumerate_combos, materialize, mixture_mean
 from mpfsim.mpf import (
+    BLOCK_MEMO_SIZE,
     IllConditionedSystemError,
     MatchingSolveError,
     branch_series,
@@ -175,6 +176,66 @@ def test_closedform_nu_shift_and_first_blocks():
     assert np.array_equal(nu0, expected)
     nu1 = closedform_nu(2, 3, 1)
     assert np.allclose(nu1[:5], 1.0) and np.allclose(nu1[5:], 0.0)
+
+
+def test_closedform_nu_returns_a_copy_of_the_cached_targets():
+    nu = closedform_nu(2, 3, 2)
+    nu[:] = 0.0
+    assert closedform_nu(2, 3, 2)[1] == math.factorial(4) / math.factorial(5)
+
+
+# --- block memo ------------------------------------------------------------
+
+
+def test_block_memo_shares_one_read_only_block():
+    b = np.array([1.0, -1.0, 2.0, -2.0, 3.0])
+    nu = closedform_nu(1, 2, 1)
+    blk = build_lblock(1, 2, b, nu)
+    assert build_lblock(1, 2, b.copy(), nu.copy()) is blk
+    for arr in (blk.b, blk.nu, blk.C):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        blk.C[0] = 0.0
+    b[0] = 5.0  # the caller's array stays writable and the block keeps its own nodes
+    assert blk.b[0] == 1.0
+
+
+def test_block_memo_reraises_a_cached_failure_with_its_message(monkeypatch):
+    calls = []
+    solve = mpfsim.mpf.solve_vandermonde
+    monkeypatch.setattr(mpfsim.mpf, "solve_vandermonde", lambda b, nu: calls.append(1) or solve(b, nu))
+    mpfsim.mpf._solved_block.cache_clear()
+    b = np.array([1.0, 1.0, 2.0, -2.0, 3.0])
+    nu = closedform_nu(1, 2, 1)
+    with pytest.raises(IllConditionedSystemError) as first:
+        build_lblock(1, 2, b, nu)
+    with pytest.raises(IllConditionedSystemError) as second:
+        build_lblock(1, 2, b, nu)
+    assert str(second.value) == str(first.value) == "coincident b nodes"
+    assert second.value is not first.value
+    assert len(calls) == 1
+
+
+def test_block_memo_holds_at_most_its_bound():
+    assert BLOCK_MEMO_SIZE == 64
+    nu = closedform_nu(1, 2, 1)
+    for i in range(3 * BLOCK_MEMO_SIZE):
+        build_lblock(1, 2, np.array([1.0, -1.0, 2.0, -2.0, 3.0 + 0.25 * i]), nu)
+        assert mpfsim.mpf._solved_block.cache_info().currsize <= BLOCK_MEMO_SIZE
+    assert mpfsim.mpf._solved_block.cache_info().currsize == BLOCK_MEMO_SIZE
+
+
+def test_block_series_is_computed_once_and_equals_a_fresh_expansion():
+    rng = np.random.default_rng(11)
+    spec = build_closedform(1, 2, [distinct_b(5, rng) for _ in range(3)])
+    first = branch_series(spec.branches[1], 5, magnitudes=True)
+    kept = spec.block0.series(5, True)
+    assert spec.block0.series(5, True) is kept and not kept.flags.writeable
+    inv_k = 1.0 / np.arange(1, 6)
+    terms = np.ones((5, 6))
+    terms[:, 1:] = np.cumprod(np.abs(spec.block0.b)[:, None] * inv_k, axis=1)
+    assert np.array_equal(kept, np.abs(spec.block0.C) @ terms)
+    assert np.array_equal(branch_series(spec.branches[1], 5, magnitudes=True), first)
 
 
 # --- builders --------------------------------------------------------------

@@ -67,6 +67,14 @@ def test_hermitian_term_rejects_nonhermitian():
         hermitian_term(bad)
 
 
+def test_hermitian_term_leaves_the_callers_array_writable():
+    m = np.diag([1.0, -1.0]).astype(complex)
+    term = hermitian_term(m)
+    m[0, 0] = 2.0
+    assert term.matrix[0, 0] == 1.0
+    assert not term.matrix.flags.writeable
+
+
 def test_hermitian_term_norm_and_reconstruction():
     m = random_hermitian(8, seed=3)
     term = hermitian_term(m)

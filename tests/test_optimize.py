@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import mpfsim.mpf
+import mpfsim.optimize
 from mpfsim.optimize import (
     OptimizerConfig,
     basin_hop,
@@ -185,3 +187,62 @@ def test_optimizer_config_validation():
         OptimizerConfig(loss_kind="nonsense")
     with pytest.raises(ValueError):
         OptimizerConfig(b_max=-1.0)
+
+
+def _shared_block_candidates(kind, chi, R, count, seed):
+    """Seeded node sets drawn from a small block pool, so blocks repeat across
+    candidates; the pool holds a coincident-node block and a clustered one
+    whose Vandermonde system is far too ill-conditioned to solve."""
+    rng = np.random.default_rng(seed)
+    m = 2 * chi * R + 1
+    box = chi * R + 1
+    pool = [rng.uniform(-box, box, m) for _ in range(10)]
+    coincident = pool[0].copy()
+    coincident[1] = coincident[0]
+    pool += [coincident, 1.0 + 1e-4 * np.arange(m)]
+    n_blocks = R if kind == "matching" else R + 1
+    return [[pool[i] for i in rng.integers(len(pool), size=n_blocks)] for _ in range(count)]
+
+
+@pytest.mark.parametrize("kind", ["matching", "cf"])
+def test_loss_is_bitwise_equal_with_a_cold_and_a_warm_block_memo(kind):
+    chi, R, cfg = 1, 2, OptimizerConfig()
+    candidates = _shared_block_candidates(kind, chi, R, 200, seed=17)
+    cold = []
+    for b_list in candidates:
+        mpfsim.mpf._solved_block.cache_clear()
+        cold.append(loss(b_list, kind, chi, R, cfg))
+    warm = [loss(b_list, kind, chi, R, cfg) for b_list in candidates]
+    assert mpfsim.mpf._solved_block.cache_info().hits > 0
+    assert any(math.isinf(v) for v in cold) and any(math.isfinite(v) for v in cold)
+    assert [np.float64(v).tobytes() for v in warm] == [np.float64(v).tobytes() for v in cold]
+
+
+@pytest.mark.parametrize("kind", ["matching", "cf"])
+def test_search_solves_each_distinct_block_once(monkeypatch, kind):
+    solves, builds, in_loss = [], [], []
+    solve, build, objective = mpfsim.mpf.solve_vandermonde, mpfsim.mpf.build_lblock, loss
+
+    def counted_solve(b, nu):
+        if in_loss:
+            solves.append((b.tobytes(), nu.tobytes()))
+        return solve(b, nu)
+
+    def counted_build(*args):
+        builds.append(1)
+        return build(*args)
+
+    def counted_loss(*args):
+        in_loss.append(True)
+        try:
+            return objective(*args)
+        finally:
+            in_loss.pop()
+
+    monkeypatch.setattr(mpfsim.mpf, "solve_vandermonde", counted_solve)
+    monkeypatch.setattr(mpfsim.mpf, "build_lblock", counted_build)
+    monkeypatch.setattr(mpfsim.optimize, "loss", counted_loss)
+    mpfsim.mpf._solved_block.cache_clear()
+    optimize_mpf(kind, 1, 2, OptimizerConfig(hops=1))
+    assert solves and len(set(solves)) == len(solves)
+    assert len(builds) > len(solves)  # the other builds were memo hits

@@ -178,7 +178,7 @@ def test_fit_order_slope_s2(toy):
         approx = ts_matrices(toy, 1, 1, ts)
         return [spectral_distance(exact[i], approx[i]) for i in range(len(ts))]
 
-    fit = fit_order_slope(distances)
+    fit = fit_order_slope(distances, t_min=1e-6, t_max=3.0)
     assert fit.slope == pytest.approx(3.0, abs=0.15)
     assert fit.n_points >= 6
 
@@ -188,4 +188,4 @@ def test_fit_order_slope_insufficient_window(toy):
         return [1.0 for _ in ts]  # everything outside the clean window
 
     with pytest.raises(ValueError, match="insufficient"):
-        fit_order_slope(distances)
+        fit_order_slope(distances, t_min=1e-6, t_max=3.0)
