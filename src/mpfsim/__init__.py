@@ -43,7 +43,6 @@ from .operators import (
     exact_evolution,
     expectation,
     hamiltonian,
-    herm_expm,
     hermitian_term,
     lambda_norm,
     observable,

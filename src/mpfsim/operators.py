@@ -23,7 +23,6 @@ __all__ = [
     "pauli_string",
     "hermitian_term",
     "hamiltonian",
-    "herm_expm",
     "exact_evolution",
     "spectral_distance",
     "expectation",
@@ -70,8 +69,10 @@ def spectral_norm(a: np.ndarray) -> float:
 class HermitianTerm:
     """One Hermitian Hamiltonian term with its eigendecomposition.
 
-    The decomposition is computed once at construction and reused for every
-    exponential of this term; instances are immutable.
+    The decomposition is computed once at construction; instances are
+    immutable.  ``rotation`` is ``(cols, |v|, v/|v|)`` when every row of the
+    matrix holds at most one nonzero (see :func:`_row_rotation`), else None;
+    the schedule step loop exponentiates such a term without its eigenbasis.
     """
 
     matrix: np.ndarray
@@ -79,6 +80,7 @@ class HermitianTerm:
     norm: float
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
+    rotation: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
     @property
     def dim(self) -> int:
@@ -106,6 +108,32 @@ def _hermitian(a, what: str) -> np.ndarray:
     return a
 
 
+def _row_rotation(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``(cols, |v|, v/|v|)`` of a Hermitian matrix with at most one nonzero per row.
+
+    Such a matrix is a direct sum of 1x1 and 2x2 blocks: row i holds its one
+    entry v_i at column cols_i, and a zero row takes cols_i = i, v_i = 0 (its
+    phase is stored as 0).  A pair's entries are both read from the upper
+    triangle, v_j = conj(v_i), so every block is exactly Hermitian; a
+    diagonal entry keeps its real part.  Returns None for any other matrix.
+    """
+    nonzero = a != 0
+    if np.any(np.count_nonzero(nonzero, axis=1) > 1):
+        return None
+    rows = np.arange(a.shape[0])
+    cols = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), rows)
+    if np.any(cols[cols] != rows):
+        return None
+    upper = a[np.minimum(rows, cols), np.maximum(rows, cols)]
+    v = np.where(rows < cols, upper, upper.conj())
+    v[rows == cols] = upper[rows == cols].real
+    mag = np.abs(v)
+    phase = np.divide(v, mag, out=np.zeros_like(v), where=mag > 0)
+    for x in (cols, mag, phase):
+        x.setflags(write=False)
+    return cols, mag, phase
+
+
 def hermitian_term(matrix: np.ndarray, label: str = "") -> HermitianTerm:
     """Validate (see :func:`_hermitian`) and wrap a copy of a Hermitian matrix.
 
@@ -126,6 +154,7 @@ def hermitian_term(matrix: np.ndarray, label: str = "") -> HermitianTerm:
         norm=float(np.max(np.abs(w))) if w.size else 0.0,
         eigenvalues=w,
         eigenvectors=v,
+        rotation=_row_rotation(matrix),
     )
 
 
@@ -163,12 +192,6 @@ def hamiltonian(terms, label: str = "H") -> HamiltonianSpec:
     return HamiltonianSpec(terms=tuple(wrapped), dim=dim, total=total)
 
 
-def herm_expm(h: HermitianTerm, theta: float) -> np.ndarray:
-    """exp(-i * theta * h) via the cached eigendecomposition of ``h``."""
-    phases = np.exp(-1j * theta * h.eigenvalues)
-    return (h.eigenvectors * phases[None, :]) @ h.eigenvectors.conj().T
-
-
 def exact_evolution(H: HamiltonianSpec, t: float) -> np.ndarray:
     """Exact propagator exp(-i H t) of the summed Hamiltonian."""
     return exact_evolutions(H, [t])[0]
@@ -177,7 +200,8 @@ def exact_evolution(H: HamiltonianSpec, t: float) -> np.ndarray:
 def exact_evolutions(H: HamiltonianSpec, ts: np.ndarray) -> np.ndarray:
     """Batched exact propagators, shape ``(len(ts), dim, dim)``.
 
-    Slice i equals ``herm_expm(H.total, ts[i])`` bit for bit.
+    Slice i is ``V diag(exp(-i ts[i] w)) V^dagger`` from the cached
+    eigendecomposition ``H.total = V diag(w) V^dagger``.
     """
     if H.dim > MAX_DIM:
         raise ValueError(f"dimension {H.dim} exceeds configured maximum {MAX_DIM}")

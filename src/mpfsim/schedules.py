@@ -5,6 +5,19 @@ formula: an ordered list of ``(term_index, alpha)`` steps standing for the
 operator product ``E(steps[0]) @ E(steps[1]) @ ... @ E(steps[-1])`` with
 ``E(k, a) = exp(-i * a * h_k * t)``.  ``steps[0]`` is therefore the leftmost
 factor, i.e. the one applied last to a state.
+
+:func:`schedule_matrices` has the one step loop; it left-multiplies an
+accumulator by each step's exponential, exactly where the term allows.  A
+term with at most one nonzero per row (every term of the SYK, Hubbard and
+anticommuting models and of an even-length free-fermion ring) is a direct
+sum of 1x1 and 2x2 blocks, so with row i's entry v_i at column cols_i
+
+    exp(-i theta h) A = cos(theta |v|) * A - i sin(theta |v|) (v / |v|) * A[cols]
+
+row by row: one row gather and two scaled adds, no matrix product.  Pairs,
+diagonal entries and zero rows (cols_i = i, v_i = 0) share that formula.
+Any other term is applied in its eigenbasis, V diag(exp(-i theta w)) V^dagger,
+as two matrix products.
 """
 
 from __future__ import annotations
@@ -14,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import HamiltonianSpec, herm_expm
+from .operators import HamiltonianSpec
 
 __all__ = [
     "ExponentSchedule",
@@ -127,19 +140,15 @@ def alpha_sums(s: ExponentSchedule) -> np.ndarray:
 
 def schedule_matrix(s: ExponentSchedule, H: HamiltonianSpec, t: float) -> np.ndarray:
     """Materialize the schedule as a dense operator at time ``t``."""
-    if s.L != H.L:
-        raise ValueError(f"schedule addresses {s.L} terms, Hamiltonian has {H.L}")
-    out = np.eye(H.dim, dtype=complex)
-    for k, a in reversed(s.steps):
-        out = herm_expm(H.terms[k], a * t) @ out
-    return out
+    return schedule_matrices(s, H, [t])[0]
 
 
 def schedule_matrices(s: ExponentSchedule, H: HamiltonianSpec, ts: np.ndarray) -> np.ndarray:
-    """Batched :func:`schedule_matrix` over a time grid, shape (B, d, d).
+    """The schedule's operator at every time of a grid, shape (B, d, d).
 
-    The accumulator is kept as a (d, B*d) column-stacked block so every step
-    costs two large GEMMs instead of 2B small ones.
+    The accumulator is kept as a (d, B*d) column-stacked block, so a row
+    rotation step scales whole rows and an eigenbasis step costs two large
+    GEMMs instead of 2B small ones (see the module docstring).
     """
     if s.L != H.L:
         raise ValueError(f"schedule addresses {s.L} terms, Hamiltonian has {H.L}")
@@ -148,9 +157,18 @@ def schedule_matrices(s: ExponentSchedule, H: HamiltonianSpec, ts: np.ndarray) -
     acc = np.tile(np.eye(d, dtype=complex), (1, B))
     for k, a in reversed(s.steps):
         term = H.terms[k]
-        x = (term.eigenvectors.conj().T @ acc).reshape(d, B, d)
-        x *= np.exp(-1j * np.outer(term.eigenvalues, a * ts))[:, :, None]
-        acc = term.eigenvectors @ x.reshape(d, B * d)
+        if term.rotation is None:
+            x = (term.eigenvectors.conj().T @ acc).reshape(d, B, d)
+            x *= np.exp(-1j * np.outer(term.eigenvalues, a * ts))[:, :, None]
+            acc = term.eigenvectors @ x.reshape(d, B * d)
+            continue
+        cols, mag, phase = term.rotation
+        angle = np.outer(mag, a * ts)
+        x = acc.reshape(d, B, d)
+        gathered = x[cols]
+        gathered *= (np.sin(angle) * (-1j * phase)[:, None])[:, :, None]
+        x *= np.cos(angle)[:, :, None]
+        x += gathered
     return acc.reshape(d, B, d).transpose(1, 0, 2)
 
 

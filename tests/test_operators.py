@@ -10,7 +10,6 @@ from mpfsim.operators import (
     exact_evolutions,
     expectation,
     hamiltonian,
-    herm_expm,
     hermitian_term,
     lambda_norm,
     observable,
@@ -22,6 +21,12 @@ X = pauli_string("X")
 Y = pauli_string("Y")
 Z = pauli_string("Z")
 HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+
+
+def herm_expm(h, theta):
+    """exp(-i theta h) from the term's cached eigendecomposition: the tests' eigenbasis reference."""
+    phases = np.exp(-1j * theta * h.eigenvalues)
+    return (h.eigenvectors * phases[None, :]) @ h.eigenvectors.conj().T
 
 
 def random_hermitian(dim, seed):

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpfsim.ensembles import materialize, mixture_mean, s2_hat_ensemble
-from mpfsim.operators import exact_evolution, hamiltonian, pauli_string, spectral_distance
+from mpfsim.models import anticommuting, free_fermion, heisenberg, hubbard_2x2, syk
+from mpfsim.operators import exact_evolution, hamiltonian, hermitian_term, pauli_string, spectral_distance
 from mpfsim.schedules import (
     alpha_sums,
     merge_adjacent,
@@ -22,6 +23,7 @@ from mpfsim.schedules import (
 
 X = pauli_string("X")
 Y = pauli_string("Y")
+Z = pauli_string("Z")
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +98,7 @@ def test_schedule_matrix_single_term():
 
 
 def test_schedule_matrix_s2_brute_force(toy):
-    # hand-multiplied 2x2 exponentials, independent of herm_expm
+    # hand-multiplied 2x2 exponentials, independent of the step loop
     t = 0.37
     expected = expm_pauli(X, t / 2) @ expm_pauli(Y, t) @ expm_pauli(X, t / 2)
     got = schedule_matrix(merge_adjacent(s2_schedule(2)), toy, t)
@@ -172,3 +174,95 @@ def test_remainder_bound_values(toy):
     # s2 on two unit-norm terms: sum |alpha| * norm = 2, so (0.2)^3 / 3!
     assert remainder_bound(s, toy, 0.1, 2) == pytest.approx((0.2) ** 3 / 6, rel=1e-12)
     assert remainder_bound(s, toy, 0.1, 2) == pytest.approx(1.3333e-3, rel=1e-4)
+
+
+def expm_product(s, H, t):
+    """The schedule as a product of scipy.linalg.expm step factors."""
+    expm = pytest.importorskip("scipy.linalg").expm
+    out = np.eye(H.dim, dtype=complex)
+    for k, a in s.steps:
+        out = out @ expm(-1j * a * t * H.terms[k].matrix)
+    return out
+
+
+ZOO = {
+    "heisenberg4": lambda: heisenberg(4),
+    "anticommuting": anticommuting,
+    "syk8": lambda: syk(8, seed=3),
+    "hubbard": hubbard_2x2,
+    "free_fermion8": lambda: free_fermion(8)[1],
+    "free_fermion7": lambda: free_fermion(7)[1],
+}
+# Terms exponentiated as row rotations: every term of every model except
+# Heisenberg's and the odd ring's even-bond term, whose row 0 holds two bonds.
+ROTATION_TERMS = {"heisenberg4": 0, "anticommuting": 8, "syk8": 70, "hubbard": 14, "free_fermion8": 2, "free_fermion7": 1}
+
+
+@pytest.mark.parametrize("model", sorted(ZOO))
+def test_schedule_matrices_match_expm_products(model):
+    H = ZOO[model]()
+    assert sum(term.rotation is not None for term in H.terms) == ROTATION_TERMS[model]
+    s = merge_adjacent(s2_schedule(H.L))
+    ts = np.array([0.4, -0.9, 0.0])
+    got = schedule_matrices(s, H, ts)
+    for i, t in enumerate(ts):
+        assert spectral_distance(got[i], expm_product(s, H, t)) <= 1e-13
+
+
+def test_rotation_data_of_a_mixed_term():
+    # row 0 zero, row 1 diagonal, rows 2-3 a complex pair, row 4 a negative diagonal entry
+    m = np.zeros((5, 5), dtype=complex)
+    m[1, 1] = 0.7
+    m[2, 3], m[3, 2] = 0.3 - 0.4j, 0.3 + 0.4j
+    m[4, 4] = -1.2
+    cols, mag, phase = hermitian_term(m).rotation
+    assert cols.tolist() == [0, 1, 3, 2, 4]
+    assert mag.tolist() == [0.0, 0.7, 0.5, 0.5, 1.2]
+    assert phase[0] == 0 and phase[1] == 1 and phase[4] == -1
+    assert phase[3] == np.conj(phase[2])
+
+
+def test_pair_entries_come_from_one_triangle():
+    # the lower entry differs from the conjugate upper one within the Hermiticity tolerance
+    m = np.array([[0, 1 + 2j], [1 - 2j + 1e-14, 0]])
+    _, mag, phase = hermitian_term(m).rotation
+    assert mag[0] == mag[1]
+    assert phase[1] == np.conj(phase[0])
+
+
+HAND_TERMS = {
+    "zero_diag_pair": np.diag([0.0, 0.7, 0.0, 0.0, -1.2]).astype(complex)
+    + np.pad(np.array([[0, 0.3 - 0.4j], [0.3 + 0.4j, 0]]), ((2, 1), (2, 1))),
+    "diagonal": np.diag([0.5, -0.25, 0.0, 2.0]).astype(complex),
+    "zero": np.zeros((3, 3), dtype=complex),
+    "y_type": np.kron(Y, Z),
+    "fixed_points_and_pairs": np.kron(np.diag([1.0, 0.0]), X) + np.kron(np.diag([0.0, -0.6]), np.eye(2)),
+    "two_per_row": X + Z,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_TERMS))
+def test_hand_built_terms_match_expm(name):
+    H = hamiltonian([HAND_TERMS[name]])
+    assert (H.terms[0].rotation is None) == (name == "two_per_row")
+    s = s1_schedule(1)
+    ts = np.array([0.37, -1.3, 0.0, 4.0])
+    got = schedule_matrices(s, H, ts)
+    for i, t in enumerate(ts):
+        assert spectral_distance(got[i], expm_product(s, H, t)) <= 1e-13
+
+
+def test_rotation_and_eigenbasis_steps_mix_in_one_loop():
+    H = hamiltonian([X + Z, Y, np.diag([0.3, -0.3]).astype(complex)])
+    assert [term.rotation is None for term in H.terms] == [True, False, False]
+    s = merge_adjacent(suzuki_schedule(2, 3))
+    for t in (0.8, -0.25):
+        assert spectral_distance(schedule_matrix(s, H, t), expm_product(s, H, t)) <= 1e-13
+
+
+@pytest.mark.parametrize("model", ["heisenberg4", "syk8"])
+def test_schedule_matrix_is_the_one_point_batch(model):
+    H = ZOO[model]()
+    s = merge_adjacent(s2_schedule(H.L))
+    for t in (0.3, -1.1):
+        assert np.array_equal(schedule_matrix(s, H, t), schedule_matrices(s, H, [t])[0])

@@ -4,7 +4,7 @@ import pytest
 import mpfsim.sweep
 from mpfsim.bounds import Method
 from mpfsim.cli import main
-from mpfsim.models import anticommuting, free_fermion, heisenberg
+from mpfsim.models import anticommuting, free_fermion, heisenberg, syk
 from mpfsim.mpf import cw_coefficients, mpf_matrices
 from mpfsim.operators import (
     exact_evolutions,
@@ -165,6 +165,14 @@ def test_distance_curve_ts(toy):
     expected = [spectral_distance(exact[i], approx[i]) for i in range(len(taus))]
     assert np.allclose(dists, expected, atol=1e-13)
     assert np.all(dists <= bounds + 1e-12)
+
+
+def test_trotter_suzuki_distance_plateau_on_syk():
+    # Every SYK term is exponentiated as exact row rotations, so the order-4
+    # formula's distance at tiny tau sits near 3e-14; eigenbasis steps left
+    # a plateau of ~1.3e-12 here.
+    dists, _ = distance_curve(syk(10, seed=7), Method.TROTTER_SUZUKI, np.array([1e-3, 1e-2]), chi=2, reps=3)
+    assert np.all(dists < 2e-13)
 
 
 def test_distance_curve_requires_spec(toy):
