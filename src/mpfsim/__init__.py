@@ -20,7 +20,7 @@ from .bounds import (
     zeta_cf,
     zeta_matching,
 )
-from .ensembles import SamplingEnsemble, materialize, mixture_mean, s2_hat_ensemble
+from .ensembles import SamplingEnsemble, materialize, mixture_mean
 from .mpf import (
     ChildsWiebe,
     ClosedFormMPF,
@@ -50,17 +50,11 @@ from .operators import (
     spectral_distance,
 )
 from .optimize import OptimizerConfig, OptimResult, optimize_mpf
-from .sampling import (
-    coverage_experiment,
-    expected_value,
-    hadamard_test_expectation,
-    run_estimator,
-)
+from .sampling import expected_value, run_estimator
 from .schedules import (
     ExponentSchedule,
     merge_adjacent,
     remainder_bound,
-    repeat_schedule,
     s1_schedule,
     s2_schedule,
     schedule_matrix,

@@ -27,9 +27,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .ensembles import EnsembleBranch, EnsembleEntry, EnsembleLayer, SamplingEnsemble
+from .ensembles import SamplingEnsemble
 from .operators import HamiltonianSpec
-from .schedules import merge_adjacent, repeat_schedule, suzuki_schedule
+from .schedules import merge_adjacent, suzuki_schedule
 
 __all__ = [
     "IllConditionedSystemError",
@@ -531,36 +531,11 @@ def scalar_series(spec: MPFSpec, order: int) -> np.ndarray:
 
 
 def mpf_ensemble(spec: MPFSpec, L: int) -> SamplingEnsemble:
-    """Turn a formula into a layered sampling ensemble over L-term schedules.
+    """The formula as a sampling ensemble over the merged order-2chi schedule on L terms.
 
-    Each layer becomes a distribution over its entries with probabilities
-    |C_q| / ||C||_1 and the signs of C_q as tags; S(b t)^power is the
-    schedule repeated ``power`` times at time b * power * t.  Each branch is
-    drawn with probability proportional to the product of its layer 1-norms,
-    and the resolution factor records the total 1-norm inflation, so that
-    ``resolution * E[sign * V] = mpf_matrix``.
+    :func:`~mpfsim.ensembles.materialize` reads the distribution from
+    ``spec.branches``: entry probabilities |C_q| / ||C||_1 tagged with
+    sign(C_q), branches in proportion to the product of their layer 1-norms,
+    so that ``resolution * E[sign * V] = mpf_matrix``.
     """
-    sched = merge_adjacent(suzuki_schedule(spec.chi, L))
-
-    def ensemble_layer(layer: Layer) -> EnsembleLayer:
-        return EnsembleLayer(
-            tuple(
-                EnsembleEntry(
-                    float(p),
-                    1 if c >= 0 else -1,
-                    sched if n == 1 else repeat_schedule(sched, int(n)),
-                    float(b * n),
-                )
-                for p, c, b, n in zip(np.abs(layer.C) / layer.one_norm, layer.C, layer.b, layer.power)
-            )
-        )
-
-    weights = [math.prod(layer.one_norm for layer in branch) for branch in spec.branches]
-    total = sum(weights)
-    return SamplingEnsemble(
-        tuple(
-            EnsembleBranch(w / total, tuple(ensemble_layer(layer) for layer in branch))
-            for w, branch in zip(weights, spec.branches)
-        ),
-        resolution=spec.resolution,
-    )
+    return SamplingEnsemble(spec, merge_adjacent(suzuki_schedule(spec.chi, L)))

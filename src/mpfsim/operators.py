@@ -23,6 +23,7 @@ __all__ = [
     "pauli_string",
     "hermitian_term",
     "hamiltonian",
+    "observable",
     "exact_evolution",
     "spectral_distance",
     "expectation",
@@ -296,7 +297,9 @@ def sandwich(O: Observable, rho: QuantumState, Vo: np.ndarray, Vb: np.ndarray) -
     """Re tr(O Vb rho Vo†) = Re vdot(Vo F, O Vb F), in normalized observable units.
 
     The one implementation of every state expectation: pure and mixed states
-    differ only in the number of columns of their factor F.
+    differ only in the number of columns of their factor F.  With arms Vo and
+    Vb it is the Hadamard test's exact X (x) O value,
+    Re tr(O (Vo rho Vb† + Vb rho Vo†)) / 2.
     """
     if Vo.shape != (O.dim, O.dim) or Vb.shape != Vo.shape or rho.dim != O.dim:
         raise ValueError("dimension mismatch between observable, state and operators")

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import hoeffding_shots
 from .ensembles import DEFAULT_COMBO_CAP, MaterializedEnsemble, mixture_mean
 from .operators import Observable, QuantumState, sandwich
 
@@ -33,29 +32,14 @@ __all__ = [
     "ShotRecord",
     "EstimatorState",
     "PreparedSampler",
-    "hadamard_test_expectation",
     "prepare_sampler",
     "single_shot",
     "expected_value",
     "run_estimator",
-    "coverage_experiment",
     "shot_rng",
 ]
 
 DENSITY_DIM_CAP = 64
-
-
-def hadamard_test_expectation(
-    Vo: np.ndarray, Vb: np.ndarray, rho: QuantumState, O: Observable
-) -> float:
-    """Exact expectation of X (x) O after the two controlled arms.
-
-    Equals Re tr(O (Vo rho Vb† + Vb rho Vo†)) / 2 = Re tr(O Vb rho Vo†), the
-    :func:`~mpfsim.operators.sandwich` of the state factor F between the two
-    arms, in the observable's original units; the doubled ancilla space is
-    never materialized.
-    """
-    return sandwich(O, rho, Vo, Vb) * O.scale
 
 
 @dataclass(frozen=True)
@@ -205,28 +189,3 @@ def run_estimator(
     total = _signed_sum(prepare_sampler(mat, rho, O), N, seed, stream)
     state = EstimatorState(shots=N, signed_sum=total, resolution=mat.resolution, scale=O.scale)
     return state.estimate, state
-
-
-def coverage_experiment(
-    mat: MaterializedEnsemble,
-    rho: QuantumState,
-    O: Observable,
-    epsilon: float,
-    delta: float,
-    trials: int,
-    seed: int,
-) -> float:
-    """Fraction of independent estimators landing within epsilon of the truth.
-
-    Trial s draws the Hoeffding-planned number of shots of estimator stream
-    s, the shots ``run_estimator(..., seed, stream=s)`` draws, and compares
-    the raw sample mean against the exact expectation; the fraction must
-    approach at least 1 - delta.
-    """
-    if trials < 50:
-        raise ValueError("need at least 50 trials for a meaningful coverage estimate")
-    n_shots = hoeffding_shots(epsilon, delta).N
-    target = expected_value(mat, rho, O)
-    sampler = prepare_sampler(mat, rho, O)
-    hits = sum(abs(_signed_sum(sampler, n_shots, seed, s) / n_shots - target) <= epsilon for s in range(trials))
-    return hits / trials

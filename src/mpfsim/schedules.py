@@ -35,9 +35,7 @@ __all__ = [
     "s2_schedule",
     "suzuki_schedule",
     "suzuki_constant",
-    "repeat_schedule",
     "merge_adjacent",
-    "reverse_schedule",
     "schedule_matrix",
     "schedule_matrices",
     "merged_count",
@@ -107,18 +105,6 @@ def merge_adjacent(s: ExponentSchedule) -> ExponentSchedule:
         else:
             merged.append((k, a))
     return ExponentSchedule(tuple(merged), L=s.L)
-
-
-def reverse_schedule(s: ExponentSchedule) -> ExponentSchedule:
-    return ExponentSchedule(tuple(reversed(s.steps)), L=s.L)
-
-
-def repeat_schedule(s: ExponentSchedule, r: int) -> ExponentSchedule:
-    """r repetitions at time t/r each; adjacent seam steps are fused."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    scaled = [(k, a / r) for k, a in s.steps]
-    return merge_adjacent(ExponentSchedule(tuple(scaled * r), L=s.L))
 
 
 def merged_count(s: ExponentSchedule) -> int:

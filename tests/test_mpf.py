@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import mpfsim.ensembles
 import mpfsim.mpf
-from mpfsim.ensembles import enumerate_combos, materialize, mixture_mean
+from mpfsim.ensembles import materialize, mixture_mean
 from mpfsim.mpf import (
     BLOCK_MEMO_SIZE,
     IllConditionedSystemError,
@@ -28,6 +28,7 @@ from mpfsim.operators import QuantumState, hamiltonian, observable, pauli_string
 from mpfsim.optimize import default_initial_b, spec_from_b
 from mpfsim.sampling import expected_value
 from mpfsim.schedules import merge_adjacent, s2_schedule, schedule_matrix
+from references import enumerate_combos
 
 
 @pytest.fixture(scope="module")
@@ -348,22 +349,24 @@ def test_block_with_basis_nu_gives_constant_series():
 def test_mpf_ensemble_cw_entries(toy):
     spec = cw_coefficients(1, 1)
     ens = mpf_ensemble(spec, toy.L)
-    layer = ens.branches[0].layers[0]
-    assert [e.probability for e in layer.entries] == pytest.approx([0.2, 0.8], abs=1e-12)
-    assert [e.sign for e in layer.entries] == [-1, 1]
-    assert ens.resolution == pytest.approx(5.0 / 3.0, abs=1e-12)
-    assert len(layer.entries[0].schedule.steps) == 3  # S2(t), merged
-    assert len(layer.entries[1].schedule.steps) == 5  # S2(t/2)^2, seam-merged
+    assert ens.spec is spec
+    assert ens.schedule == merge_adjacent(s2_schedule(toy.L))
+    mat = materialize(ens, toy, 0.4)
+    (br,) = mat.branches
+    assert br.layer_probs[0] == pytest.approx([0.2, 0.8], abs=1e-12)
+    assert br.layer_signs[0].tolist() == [-1, 1]
+    assert mat.resolution == pytest.approx(5.0 / 3.0, abs=1e-12)
 
 
 def test_ensemble_probability_normalization(toy):
     rng = np.random.default_rng(5)
     spec = build_closedform(1, 2, [distinct_b(5, rng) for _ in range(3)])
-    ens = mpf_ensemble(spec, toy.L)
-    assert sum(br.probability for br in ens.branches) == pytest.approx(1.0, abs=1e-12)
-    for br in ens.branches:
-        for layer in br.layers:
-            assert sum(e.probability for e in layer.entries) == pytest.approx(1.0, abs=1e-12)
+    mat = materialize(mpf_ensemble(spec, toy.L), toy, 0.4)
+    assert sum(br.probability for br in mat.branches) == pytest.approx(1.0, abs=1e-12)
+    for br in mat.branches:
+        for probs in br.layer_probs:
+            assert np.all(probs >= 0)
+            assert np.sum(probs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_single_entry_layer_deterministic(toy):
@@ -428,9 +431,23 @@ def test_branch_shapes_per_kind():
 def test_ensemble_has_one_branch_per_formula_branch(toy, kind):
     spec = spec_of_kind(kind, np.random.default_rng(23))
     ens = mpf_ensemble(spec, toy.L)
-    assert len(ens.branches) == len(spec.branches)
-    for br, branch in zip(ens.branches, spec.branches):
-        assert [len(layer.entries) for layer in br.layers] == [len(layer.C) for layer in branch]
+    t = 0.4
+    mat = materialize(ens, toy, t)
+    weights = [math.prod(layer.one_norm for layer in branch) for branch in spec.branches]
+    assert len(mat.branches) == len(spec.branches)
+    for br, branch, w in zip(mat.branches, spec.branches, weights):
+        assert br.probability == pytest.approx(w / sum(weights), rel=1e-15)
+        assert len(br.layer_matrices) == len(branch)
+        for probs, signs, mats, layer in zip(br.layer_probs, br.layer_signs, br.layer_matrices, branch):
+            assert probs == pytest.approx(np.abs(layer.C) / layer.one_norm, rel=1e-15)
+            assert np.array_equal(signs, np.sign(layer.C))
+            assert len(mats) == len(layer.C)
+            for b, power, m in zip(layer.b, layer.power, mats):
+                step = schedule_matrix(ens.schedule, toy, b * t)
+                if power == 1:  # every cf and matching entry
+                    assert np.array_equal(m, step)
+                else:  # a Childs-Wiebe entry S(t/l)^l
+                    assert np.max(np.abs(m - np.linalg.matrix_power(step, power))) <= 1e-14
 
 
 @pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
@@ -460,12 +477,12 @@ def test_materialize_builds_each_distinct_operator_once(toy, monkeypatch):
     ens = mpf_ensemble(spec, toy.L)
     t = 0.37
     mat = materialize(ens, toy, t)
-    entries = [e for br in ens.branches for layer in br.layers for e in layer.entries]
-    assert len(entries) == 15
-    assert len(calls) == len({(e.schedule, e.time_scale * t) for e in entries}) == 5
+    layers = [layer for branch in spec.branches for layer in branch]
+    assert sum(len(layer.b) for layer in layers) == 15
+    assert len(calls) == len({float(b) for layer in layers for b in layer.b}) == 5
     monkeypatch.undo()
-    for br, mbr in zip(ens.branches, mat.branches):
-        for layer, mats in zip(br.layers, mbr.layer_matrices):
-            for e, m in zip(layer.entries, mats):
-                assert np.array_equal(m, schedule_matrix(merge_adjacent(e.schedule), toy, e.time_scale * t))
+    for br, mbr in zip(spec.branches, mat.branches):
+        for layer, mats in zip(br, mbr.layer_matrices):
+            for b, m in zip(layer.b, mats):
+                assert np.array_equal(m, schedule_matrix(ens.schedule, toy, b * t))
     assert spectral_distance(mat.resolution * mixture_mean(mat), mpf_matrix(spec, toy, t)) < 1e-12

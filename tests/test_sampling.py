@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 
 from mpfsim.bounds import hoeffding_shots, lemma_closeness_check
-from mpfsim.ensembles import (
-    EnsembleBranch,
-    EnsembleEntry,
-    EnsembleLayer,
-    SamplingEnsemble,
-    enumerate_combos,
-    materialize,
-    mixture_mean,
-)
+from mpfsim.ensembles import materialize, mixture_mean
 from mpfsim.mpf import cw_coefficients, mpf_ensemble, mpf_matrix
 from mpfsim.operators import (
     QuantumState,
@@ -18,18 +10,17 @@ from mpfsim.operators import (
     hamiltonian,
     observable,
     pauli_string,
+    sandwich,
 )
 from mpfsim.optimize import default_initial_b, spec_from_b
 from mpfsim.sampling import (
-    coverage_experiment,
     expected_value,
-    hadamard_test_expectation,
     prepare_sampler,
     run_estimator,
     shot_rng,
     single_shot,
 )
-from mpfsim.schedules import s1_schedule
+from references import coverage_experiment, enumerate_combos
 
 Z1 = pauli_string("Z")
 
@@ -49,10 +40,9 @@ def cw_setup(toy2q):
     return spec, t, mat, O, rho
 
 
-def identity_ensemble(dim_terms):
-    """Single deterministic entry realizing the identity at t = 0."""
-    layer = EnsembleLayer((EnsembleEntry(1.0, +1, s1_schedule(dim_terms), 1.0),))
-    return SamplingEnsemble((EnsembleBranch(1.0, (layer,)),), resolution=1.0)
+def identity_ensemble(L):
+    """One deterministic entry S2(t), the one-entry Childs-Wiebe formula; the identity at t = 0."""
+    return mpf_ensemble(cw_coefficients(1, 0), L)
 
 
 def test_hadamard_test_collapses_to_expectation():
@@ -60,7 +50,7 @@ def test_hadamard_test_collapses_to_expectation():
     V = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
     O = observable(Z1)
     rho = QuantumState.basis(2, 0)
-    assert hadamard_test_expectation(V, V, rho, O) == pytest.approx(
+    assert sandwich(O, rho, V, V) * O.scale == pytest.approx(
         expectation(O, rho, V), abs=1e-12
     )
 
@@ -68,7 +58,7 @@ def test_hadamard_test_collapses_to_expectation():
 def test_hadamard_test_sign_linearity():
     O = observable(Z1)
     rho = QuantumState.basis(2, 0)
-    val = hadamard_test_expectation(np.eye(2), -np.eye(2), rho, O)
+    val = sandwich(O, rho, np.eye(2), -np.eye(2)) * O.scale
     assert val == pytest.approx(-expectation(O, rho, np.eye(2)), abs=1e-12)
 
 
@@ -76,7 +66,7 @@ def test_hadamard_test_i_z_example():
     # (1/2) tr(Z (rho Z + Z rho)) with rho = |0><0| equals 1, by 2x2 arithmetic
     O = observable(Z1)
     rho = QuantumState.basis(2, 0)
-    assert hadamard_test_expectation(np.eye(2), Z1, rho, O) == pytest.approx(1.0, abs=1e-12)
+    assert sandwich(O, rho, np.eye(2), Z1) * O.scale == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hadamard_test_density_path_agrees():
@@ -86,8 +76,8 @@ def test_hadamard_test_density_path_agrees():
     O = observable(Z1)
     v = rng.normal(size=2) + 1j * rng.normal(size=2)
     v /= np.linalg.norm(v)
-    pure = hadamard_test_expectation(Vo, Vb, QuantumState.pure(v), O)
-    dm = hadamard_test_expectation(Vo, Vb, QuantumState.mixed(np.outer(v, v.conj())), O)
+    pure = sandwich(O, QuantumState.pure(v), Vo, Vb)
+    dm = sandwich(O, QuantumState.mixed(np.outer(v, v.conj())), Vo, Vb)
     assert pure == pytest.approx(dm, abs=1e-12)
 
 
@@ -304,7 +294,7 @@ def test_factor_kernel_matches_density_formulas(cw_setup, rank):
         return np.trace(O.matrix @ U @ dm @ W.conj().T).real
 
     hadamard = 0.5 * np.trace(O.matrix @ (Vo @ dm @ Vb.conj().T + Vb @ dm @ Vo.conj().T)).real
-    assert hadamard_test_expectation(Vo, Vb, rho, O) == pytest.approx(hadamard * O.scale, abs=1e-12)
+    assert sandwich(O, rho, Vo, Vb) * O.scale == pytest.approx(hadamard * O.scale, abs=1e-12)
     assert expectation(O, rho, Vo) == pytest.approx(tr(Vo, Vo) * O.scale, abs=1e-12)
     vbar = mixture_mean(mat)
     assert expected_value(mat, rho, O) == pytest.approx(tr(vbar, vbar), abs=1e-12)

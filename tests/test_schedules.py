@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mpfsim.ensembles import materialize, mixture_mean, s2_hat_ensemble
 from mpfsim.models import anticommuting, free_fermion, heisenberg, hubbard_2x2, syk
 from mpfsim.operators import exact_evolution, hamiltonian, hermitian_term, pauli_string, spectral_distance
 from mpfsim.schedules import (
@@ -11,7 +10,6 @@ from mpfsim.schedules import (
     merge_adjacent,
     merged_count,
     remainder_bound,
-    repeat_schedule,
     s1_schedule,
     s2_schedule,
     schedule_matrices,
@@ -71,19 +69,11 @@ def test_alpha_sums_are_one(chi, L):
     assert np.allclose(sums, 1.0, atol=1e-14)
 
 
-def test_repeat_identity_and_seam_merge():
-    s = s2_schedule(2)
-    assert repeat_schedule(s, 1).steps == merge_adjacent(s).steps
-    rep = repeat_schedule(s, 2)
-    assert len(rep.steps) == 2 * (2 * 2 - 1) - 1  # 5 after the seam fuse
-    assert np.allclose(alpha_sums(rep), 1.0, atol=1e-14)
-
-
 def test_repeat_improves_error_quadratically(toy):
     t = 0.05
     exact = exact_evolution(toy, t)
     d1 = spectral_distance(exact, schedule_matrix(s2_schedule(2), toy, t))
-    d4 = spectral_distance(exact, schedule_matrix(repeat_schedule(s2_schedule(2), 4), toy, t))
+    d4 = spectral_distance(exact, np.linalg.matrix_power(schedule_matrix(s2_schedule(2), toy, t / 4), 4))
     assert d1 / d4 == pytest.approx(16.0, rel=0.2)
 
 
@@ -142,27 +132,6 @@ def test_s2_order_three_slope(toy):
     ]
     slope = np.polyfit(np.log10(ts), np.log10(dists), 1)[0]
     assert slope == pytest.approx(3.0, abs=0.15)
-
-
-def test_s2_hat_entries_and_mixture(toy):
-    ens = s2_hat_ensemble(2)
-    layer = ens.branches[0].layers[0]
-    assert layer.entries[0].schedule.steps == ((0, 1.0), (1, 1.0))
-    assert layer.entries[1].schedule.steps == ((1, 1.0), (0, 1.0))
-    t = 0.4
-    s1f = schedule_matrix(s1_schedule(2), toy, t)
-    s1_rev_dag = schedule_matrix(s1_schedule(2), toy, -t).conj().T
-    expected = 0.5 * (s1f + s1_rev_dag)
-    got = mixture_mean(materialize(ens, toy, t))
-    assert spectral_distance(got, expected) < 1e-12
-
-
-def test_s2_hat_single_term_degenerates():
-    H = hamiltonian([X])
-    ens = s2_hat_ensemble(1)
-    t = 0.8
-    got = mixture_mean(materialize(ens, H, t))
-    assert spectral_distance(got, schedule_matrix(s1_schedule(1), H, t)) < 1e-14
 
 
 def test_remainder_bound_values(toy):
