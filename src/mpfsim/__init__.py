@@ -54,7 +54,6 @@ from .sampling import expected_value, run_estimator
 from .schedules import (
     ExponentSchedule,
     merge_adjacent,
-    remainder_bound,
     s1_schedule,
     s2_schedule,
     schedule_matrix,

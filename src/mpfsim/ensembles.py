@@ -1,7 +1,7 @@
 """Sampling ensembles: a formula's canonical form read as a distribution.
 
-A sampling ensemble is a formula together with the merged order-2chi Suzuki
-schedule its entries run; :func:`materialize` reads ``spec.branches``
+A sampling ensemble is a formula together with the merged S_2 schedule its
+entries are built from; :func:`materialize` reads ``spec.branches``
 directly.  One draw picks branch r with probability prod_layers ||C||_1 over
 the sum of those products, then one entry q in each of its layers with
 probability |C_q| / ||C||_1, tagged with sign(C_q).  The realized unitary is
@@ -12,6 +12,12 @@ sign is the product of the drawn signs, so
 
 the formula's operator (:func:`mpfsim.mpf.mpf_matrix`).
 :func:`mpfsim.mpf.mpf_ensemble` builds one.
+
+:func:`materialize` builds each S_2chi(|b| t) once by Suzuki's recursion
+(:func:`~mpfsim.schedules.suzuki_recursion`) from 2^(chi-1) one-point S_2
+builds, the steps the sweep's grid cache runs at one time point, and
+answers b < 0 with the conjugate transpose S(|b| t)^dagger: every Suzuki
+formula is palindromic.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .operators import HamiltonianSpec
-from .schedules import ExponentSchedule, schedule_matrix
+from .schedules import ExponentSchedule, schedule_matrix, suzuki_recursion
 
 if TYPE_CHECKING:
     from .mpf import MPFSpec  # mpf imports this module
@@ -40,7 +46,7 @@ DEFAULT_COMBO_CAP = 10**6
 
 @dataclass(frozen=True)
 class SamplingEnsemble:
-    """A formula and the schedule S its entries S(b t)^power run."""
+    """A formula and the merged S_2 schedule its entries S_2chi(b t)^power are built from."""
 
     spec: MPFSpec
     schedule: ExponentSchedule
@@ -64,15 +70,17 @@ class MaterializedEnsemble:
 
 
 def materialize(ens: SamplingEnsemble, H: HamiltonianSpec, t: float) -> MaterializedEnsemble:
-    """Evaluate every entry S(b t)^power at time t, building S(b t) once per distinct b."""
+    """Evaluate every entry S(b t)^power at time t, building S(|b| t) once per distinct |b|."""
     built: dict[float, np.ndarray] = {}
 
     def entry(b: float, power: int) -> np.ndarray:
-        if b not in built:
-            built[b] = schedule_matrix(ens.schedule, H, b * t)
-        out = built[b]
+        size = abs(b)
+        if size not in built:
+            built[size] = suzuki_recursion(ens.spec.chi, size, lambda y: schedule_matrix(ens.schedule, H, y * t))
+        base = built[size] if b >= 0 else built[size].conj().T
+        out = base
         for _ in range(power - 1):
-            out = out @ built[b]
+            out = out @ base
         return out
 
     weights = [math.prod(layer.one_norm for layer in branch) for branch in ens.spec.branches]

@@ -29,7 +29,7 @@ import numpy as np
 
 from .ensembles import SamplingEnsemble
 from .operators import HamiltonianSpec
-from .schedules import merge_adjacent, suzuki_schedule
+from .schedules import merge_adjacent, s2_schedule
 
 __all__ = [
     "IllConditionedSystemError",
@@ -531,11 +531,12 @@ def scalar_series(spec: MPFSpec, order: int) -> np.ndarray:
 
 
 def mpf_ensemble(spec: MPFSpec, L: int) -> SamplingEnsemble:
-    """The formula as a sampling ensemble over the merged order-2chi schedule on L terms.
+    """The formula as a sampling ensemble over the merged S_2 schedule on L terms.
 
-    :func:`~mpfsim.ensembles.materialize` reads the distribution from
+    :func:`~mpfsim.ensembles.materialize` builds each order-2chi entry from
+    that schedule by Suzuki's recursion and reads the distribution from
     ``spec.branches``: entry probabilities |C_q| / ||C||_1 tagged with
     sign(C_q), branches in proportion to the product of their layer 1-norms,
     so that ``resolution * E[sign * V] = mpf_matrix``.
     """
-    return SamplingEnsemble(spec, merge_adjacent(suzuki_schedule(spec.chi, L)))
+    return SamplingEnsemble(spec, merge_adjacent(s2_schedule(L)))

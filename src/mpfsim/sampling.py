@@ -14,13 +14,16 @@ path.  Only a factor of more than one column is capped, at dimension
 ``DENSITY_DIM_CAP``.
 
 Shot j of estimator stream s draws from the counter-based Philox stream
-keyed (seed, s, j): reproducibility is a property of the indices, not of
-execution order, so shots can run in any order or in parallel.
+keyed (seed, s, j), with 0 <= seed < 2^128 and 0 <= s, j < 2^64:
+reproducibility is a property of the indices, not of execution order, so
+shots can run in any order or in parallel.  A shot takes its five uniforms
+in one draw: branch and combination of each arm, then the Born sample.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +71,14 @@ class EstimatorState:
 
 @dataclass(frozen=True)
 class _PreparedBranch:
-    combo_cum: np.ndarray
-    combo_signs: np.ndarray
+    combo_cum: list[float]
+    combo_signs: list[int]
     combo_amps: np.ndarray  # (n_combos, dim, rank) in the observable eigenbasis
 
 
 @dataclass(frozen=True)
 class PreparedSampler:
-    branch_cum: np.ndarray
+    branch_cum: list[float]
     branches: tuple[_PreparedBranch, ...]
     eigenvalues: np.ndarray
     resolution: float
@@ -88,7 +91,8 @@ def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable)
     Combinations run in lexicographic order of their per-layer entry indices,
     layer 0 most significant.  Each branch's table grows from the last layer
     outwards, so every amplitude is M_0 (M_1 (... (M_last F))) for the state
-    factor F.
+    factor F.  The cumulative tables and signs are Python lists, which a
+    shot searches with :func:`bisect.bisect_left`.
     """
     if rho.dim != mat.dim or O.dim != mat.dim:
         raise ValueError("dimension mismatch")
@@ -105,9 +109,9 @@ def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable)
             probs = np.multiply.outer(p, probs).ravel()
             signs = np.multiply.outer(s, signs).ravel()
             vecs = (m[:, None] @ vecs[None]).reshape(-1, *rho.factor.shape)
-        branches.append(_PreparedBranch(np.cumsum(probs), signs, basis @ vecs))
+        branches.append(_PreparedBranch(np.cumsum(probs).tolist(), signs.tolist(), basis @ vecs))
     return PreparedSampler(
-        branch_cum=np.cumsum([br.probability for br in mat.branches]),
+        branch_cum=np.cumsum([br.probability for br in mat.branches]).tolist(),
         branches=tuple(branches),
         eigenvalues=O.eigenvalues.copy(),
         resolution=mat.resolution,
@@ -115,30 +119,33 @@ def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable)
     )
 
 
-def _draw(sampler: PreparedSampler, rng: np.random.Generator) -> tuple[int, int]:
-    branch = int(np.searchsorted(sampler.branch_cum, rng.random() * sampler.branch_cum[-1]))
-    branch = min(branch, len(sampler.branches) - 1)
-    cum = sampler.branches[branch].combo_cum
-    combo = int(np.searchsorted(cum, rng.random() * cum[-1]))
-    return branch, min(combo, len(cum) - 1)
+def _pick(cum: list[float], u: float) -> int:
+    """Index of the first cumulative weight >= u * total, as ``np.searchsorted``."""
+    return min(bisect_left(cum, u * cum[-1]), len(cum) - 1)
 
 
 def single_shot(sampler: PreparedSampler, rng: np.random.Generator) -> ShotRecord:
     """One full protocol round: independent arm draws, then one Born sample."""
-    b1, c1 = _draw(sampler, rng)
-    b2, c2 = _draw(sampler, rng)
-    a1 = sampler.branches[b1].combo_amps[c1]
-    a2 = sampler.branches[b2].combo_amps[c2]
-    plus = 0.25 * np.sum(np.abs(a1 + a2) ** 2, axis=1)
-    minus = 0.25 * np.sum(np.abs(a1 - a2) ** 2, axis=1)
-    probs = np.concatenate([plus, minus])
-    total = probs.sum()
-    idx = int(np.searchsorted(np.cumsum(probs), rng.random() * total))
-    idx = min(idx, 2 * len(sampler.eigenvalues) - 1)
-    ancilla_sign = 1.0 if idx < len(sampler.eigenvalues) else -1.0
-    outcome = ancilla_sign * sampler.eigenvalues[idx % len(sampler.eigenvalues)]
-    sign = int(sampler.branches[b1].combo_signs[c1] * sampler.branches[b2].combo_signs[c2])
-    return ShotRecord(outcome=float(outcome), sign_product=sign)
+    u = rng.random(5).tolist()
+    br1 = sampler.branches[_pick(sampler.branch_cum, u[0])]
+    c1 = _pick(br1.combo_cum, u[1])
+    br2 = sampler.branches[_pick(sampler.branch_cum, u[2])]
+    c2 = _pick(br2.combo_cum, u[3])
+    a1, a2 = br1.combo_amps[c1], br2.combo_amps[c2]
+    arms = np.empty((2, *a1.shape), dtype=complex)
+    np.add(a1, a2, out=arms[0])
+    np.subtract(a1, a2, out=arms[1])
+    # Born probabilities of (ancilla +, eigenvalue i) then (ancilla -, i)
+    probs = np.abs(arms)
+    probs **= 2
+    probs = probs.sum(axis=2).ravel()
+    probs *= 0.25
+    idx = int(np.searchsorted(probs.cumsum(), u[4] * probs.sum()))
+    dim = len(sampler.eigenvalues)
+    idx = min(idx, 2 * dim - 1)
+    ancilla_sign = 1.0 if idx < dim else -1.0
+    outcome = ancilla_sign * sampler.eigenvalues[idx % dim]
+    return ShotRecord(outcome=float(outcome), sign_product=br1.combo_signs[c1] * br2.combo_signs[c2])
 
 
 def expected_value(mat: MaterializedEnsemble, rho: QuantumState, O: Observable) -> float:
@@ -153,10 +160,17 @@ def expected_value(mat: MaterializedEnsemble, rho: QuantumState, O: Observable) 
 
 
 def shot_rng(seed: int, stream: int, shot: int) -> np.random.Generator:
-    """Counter-based per-shot generator; (seed, stream, shot) is the address."""
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, (seed >> 64) & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    """Counter-based per-shot generator; (seed, stream, shot) is the address.
+
+    The seed is Philox's 128-bit key and stream and shot are 64-bit counter
+    words, so each must fit: 0 <= seed < 2^128 and 0 <= stream, shot < 2^64.
+    """
+    if not 0 <= seed < 2**128:
+        raise ValueError("seed must be in [0, 2^128)")
+    for name, index in (("stream", stream), ("shot", shot)):
+        if not 0 <= index < 2**64:
+            raise ValueError(f"{name} must be in [0, 2^64)")
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, seed >> 64], dtype=np.uint64)
     counter = np.array([0, 0, stream, shot], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 

@@ -18,11 +18,15 @@ row by row: one row gather and two scaled adds, no matrix product.  Pairs,
 diagonal entries and zero rows (cols_i = i, v_i = 0) share that formula.
 Any other term is applied in its eigenbasis, V diag(exp(-i theta w)) V^dagger,
 as two matrix products.
+
+:func:`suzuki_recursion` builds an order-2chi operator from S_2 operators
+by Suzuki's five-fold recursion; the sweep's grid cache and the sampling
+ensembles both build their S_2chi(b t) through it.
 """
 
 from __future__ import annotations
 
-import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +44,7 @@ __all__ = [
     "schedule_matrices",
     "merged_count",
     "suzuki_merged_count",
-    "alpha_sums",
-    "remainder_bound",
+    "suzuki_recursion",
 ]
 
 
@@ -116,12 +119,22 @@ def suzuki_merged_count(chi: int, L: int) -> int:
     return 2 * 5 ** (chi - 1) * (L - 1) + 1
 
 
-def alpha_sums(s: ExponentSchedule) -> np.ndarray:
-    """Total alpha per term; equals 1 per term for any Suzuki schedule."""
-    out = np.zeros(s.L)
-    for k, a in s.steps:
-        out[k] += a
-    return out
+def suzuki_recursion(chi: int, scale: float, s2: Callable[[float], np.ndarray]) -> np.ndarray:
+    """S_2chi(scale * t) from the S_2 builder ``s2(y) = S_2(y * t)``.
+
+    S_2chi(y t) = S_2chi-2(s y t)^2 S_2chi-2((1-4s) y t) S_2chi-2(s y t)^2
+    with s = suzuki_constant(chi-1), down to 2^(chi-1) calls of ``s2``;
+    factors multiply in the order ``suzuki_schedule`` concatenates them,
+    outer @ outer first, then outer @ mid @ outer.  The builder may return
+    one (d, d) operator or a (B, d, d) stack over a time grid.  Equal to
+    the flat ``suzuki_schedule`` build in exact arithmetic, not bitwise.
+    """
+    if chi == 1:
+        return s2(scale)
+    s = suzuki_constant(chi - 1)
+    outer = suzuki_recursion(chi - 1, s * scale, s2)
+    outer = outer @ outer
+    return outer @ suzuki_recursion(chi - 1, (1.0 - 4.0 * s) * scale, s2) @ outer
 
 
 def schedule_matrix(s: ExponentSchedule, H: HamiltonianSpec, t: float) -> np.ndarray:
@@ -156,13 +169,3 @@ def schedule_matrices(s: ExponentSchedule, H: HamiltonianSpec, ts: np.ndarray) -
         x *= np.cos(angle)[:, :, None]
         x += gathered
     return acc.reshape(d, B, d).transpose(1, 0, 2)
-
-
-def remainder_bound(s: ExponentSchedule, H: HamiltonianSpec, t: float, ell: int) -> float:
-    """Taylor-remainder bound (sum_j |alpha_j| ||h_kj|| t)^(ell+1) / (ell+1)!."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if ell < 0:
-        raise ValueError("ell must be >= 0")
-    total = sum(abs(a) * H.terms[k].norm for k, a in s.steps)
-    return (total * t) ** (ell + 1) / math.factorial(ell + 1)

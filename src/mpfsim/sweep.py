@@ -6,7 +6,9 @@ scales 1/r, the Childs-Wiebe nodes 1/l and every block node b share the
 cache) and one exact evolution per grid, and fits order-scaling slopes in an
 adaptive window above the double-precision noise floor.
 
-The cache builds S_2chi(|b| t) by Suzuki's five-fold recursion from batched
+The cache builds S_2chi(|b| t) by Suzuki's five-fold recursion
+(:func:`~mpfsim.schedules.suzuki_recursion`, which
+:func:`~mpfsim.ensembles.materialize` runs at one time point) from batched
 S_2 builds, and returns S(-|b| t) = S(|b| t)^dagger for a negative node: every
 Suzuki formula is palindromic.  Only the |b| entries are stored.
 """
@@ -22,7 +24,7 @@ from .bounds import Method, bound_for, ts_bound
 from .mpf import MPFSpec, cw_coefficients
 from .mpf import mpf_matrices as method_matrices
 from .operators import HamiltonianSpec, exact_evolutions, lambda_norm
-from .schedules import merge_adjacent, s2_schedule, schedule_matrices, suzuki_constant
+from .schedules import merge_adjacent, s2_schedule, schedule_matrices, suzuki_recursion
 
 __all__ = [
     "SuzukiGridCache",
@@ -56,14 +58,12 @@ SLOPE_MIN_SPAN_DECADES = 0.5
 class SuzukiGridCache:
     """Batched order-2chi Suzuki evaluations S(b t) over a fixed time grid.
 
-    S_2chi(|b| t) is built on the first lookup of |b| by the recursion
-    S_2chi(t) = S_2chi-2(s t)^2 S_2chi-2((1-4s) t) S_2chi-2(s t)^2 with
-    s = suzuki_constant(chi-1), down to batched S_2 builds: 2^(chi-1) of them
-    per |b|, each 2L-1 merged steps long.  A lookup of b < 0 returns the
-    conjugate transpose of the |b| entry, which equals S(b t) because the
-    formula is palindromic; it is computed on each such lookup and not
-    stored, so ``_cache`` holds only the |b| entries.  Results equal the
-    flat ``suzuki_schedule`` build in exact arithmetic, not bitwise.
+    S_2chi(|b| t) is built on the first lookup of |b| by
+    :func:`~mpfsim.schedules.suzuki_recursion` from batched S_2 builds:
+    2^(chi-1) of them per |b|, each 2L-1 merged steps long.  A lookup of
+    b < 0 returns the conjugate transpose of the |b| entry, which equals
+    S(b t) because the formula is palindromic; it is computed on each such
+    lookup and not stored, so ``_cache`` holds only the |b| entries.
     """
 
     def __init__(self, H: HamiltonianSpec, chi: int, ts: np.ndarray):
@@ -85,18 +85,10 @@ class SuzukiGridCache:
         key = float(scale)
         size = abs(key)
         if size not in self._cache:
-            self._cache[size] = self._build(self.chi, size)
+            s2 = merge_adjacent(s2_schedule(self.H.L))
+            self._cache[size] = suzuki_recursion(self.chi, size, lambda y: schedule_matrices(s2, self.H, y * self.ts))
         entry = self._cache[size]
         return entry if key >= 0 else entry.conj().transpose(0, 2, 1)
-
-    def _build(self, chi: int, scale: float) -> np.ndarray:
-        """S_2chi(scale * t) over the grid, factors in the order ``suzuki_schedule`` concatenates."""
-        if chi == 1:
-            return schedule_matrices(merge_adjacent(s2_schedule(self.H.L)), self.H, scale * self.ts)
-        s = suzuki_constant(chi - 1)
-        outer = self._build(chi - 1, s * scale)
-        outer = outer @ outer
-        return outer @ self._build(chi - 1, (1.0 - 4.0 * s) * scale) @ outer
 
 
 def ts_matrices(H: HamiltonianSpec, chi: int, r: int, ts: np.ndarray, cache: SuzukiGridCache | None = None) -> np.ndarray:

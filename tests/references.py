@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 
 from mpfsim.bounds import hoeffding_shots
-from mpfsim.sampling import expected_value, prepare_sampler, shot_rng, single_shot
+from mpfsim.sampling import ShotRecord, expected_value, prepare_sampler, shot_rng, single_shot
 
 
 def enumerate_combos(mat):
@@ -46,3 +46,34 @@ def coverage_experiment(mat, rho, O, epsilon, delta, trials, seed):
             total += rec.sign_product * rec.outcome
         hits += abs(total / n_shots - target) <= epsilon
     return hits / trials
+
+
+def _draw(sampler, rng):
+    branch = int(np.searchsorted(sampler.branch_cum, rng.random() * sampler.branch_cum[-1]))
+    branch = min(branch, len(sampler.branches) - 1)
+    cum = sampler.branches[branch].combo_cum
+    combo = int(np.searchsorted(cum, rng.random() * cum[-1]))
+    return branch, min(combo, len(cum) - 1)
+
+
+def reference_shot(sampler, rng):
+    """One shot drawn with five scalar uniforms and ``np.searchsorted``.
+
+    The per-shot contract :func:`mpfsim.sampling.single_shot` keeps bit for
+    bit: arm 1's branch and combination, arm 2's, then the Born sample over
+    the 2 dim (ancilla, eigenvalue) outcomes.
+    """
+    b1, c1 = _draw(sampler, rng)
+    b2, c2 = _draw(sampler, rng)
+    a1 = sampler.branches[b1].combo_amps[c1]
+    a2 = sampler.branches[b2].combo_amps[c2]
+    plus = 0.25 * np.sum(np.abs(a1 + a2) ** 2, axis=1)
+    minus = 0.25 * np.sum(np.abs(a1 - a2) ** 2, axis=1)
+    probs = np.concatenate([plus, minus])
+    total = probs.sum()
+    idx = int(np.searchsorted(np.cumsum(probs), rng.random() * total))
+    idx = min(idx, 2 * len(sampler.eigenvalues) - 1)
+    ancilla_sign = 1.0 if idx < len(sampler.eigenvalues) else -1.0
+    outcome = ancilla_sign * sampler.eigenvalues[idx % len(sampler.eigenvalues)]
+    sign = int(sampler.branches[b1].combo_signs[c1] * sampler.branches[b2].combo_signs[c2])
+    return ShotRecord(outcome=float(outcome), sign_product=sign)

@@ -188,6 +188,16 @@ def test_sample_seeded_rerun_identical(capsys):
     assert out1 == out2
 
 
+def test_sample_seed_beyond_128_bits_exit_2(capsys):
+    code, _, err = run(
+        capsys, "sample", "--model", "toy", "--observable", "Z", "--kind", "cw",
+        "--chi", "1", "--K", "1", "--tau", "0.1", "--epsilon", "0.3", "--delta", "0.2",
+        "--seed", str(2**128 + 5),
+    )
+    assert code == 2
+    assert "seed" in err
+
+
 def test_sample_rescale_notice(capsys):
     code, out, _ = run(
         capsys, "sample", "--model", "toy", "--observable", "Z", "--kind", "cw",

@@ -27,7 +27,8 @@ from mpfsim.mpf import (
 from mpfsim.operators import QuantumState, hamiltonian, observable, pauli_string, spectral_distance
 from mpfsim.optimize import default_initial_b, spec_from_b
 from mpfsim.sampling import expected_value
-from mpfsim.schedules import merge_adjacent, s2_schedule, schedule_matrix
+from mpfsim.schedules import merge_adjacent, s2_schedule, schedule_matrix, suzuki_schedule
+from mpfsim.sweep import SuzukiGridCache
 from references import enumerate_combos
 
 
@@ -403,11 +404,16 @@ def test_exact_mixture_identity(toy, kind):
 # --- canonical form ---------------------------------------------------------
 
 
-def spec_of_kind(kind, rng):
+def spec_of_kind(kind, rng, chi=1):
     if kind == "cw":
-        return cw_coefficients(1, 2)
+        return cw_coefficients(chi, 2)
     n_blocks = 2 if kind == "matching" else 3
-    return spec_from_b(kind, 1, 2, [distinct_b(5, rng) for _ in range(n_blocks)])
+    return spec_from_b(kind, chi, 2, [distinct_b(4 * chi + 1, rng) for _ in range(n_blocks)])
+
+
+def flat_suzuki(H, chi, t):
+    """S_2chi(t) built step by step from the merged flat Suzuki schedule."""
+    return schedule_matrix(merge_adjacent(suzuki_schedule(chi, H.L)), H, t)
 
 
 @pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
@@ -429,10 +435,10 @@ def test_branch_shapes_per_kind():
 
 @pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
 def test_ensemble_has_one_branch_per_formula_branch(toy, kind):
-    spec = spec_of_kind(kind, np.random.default_rng(23))
-    ens = mpf_ensemble(spec, toy.L)
+    spec = spec_of_kind(kind, np.random.default_rng(23), chi=2)
     t = 0.4
-    mat = materialize(ens, toy, t)
+    mat = materialize(mpf_ensemble(spec, toy.L), toy, t)
+    cache = SuzukiGridCache(toy, spec.chi, np.array([t]))
     weights = [math.prod(layer.one_norm for layer in branch) for branch in spec.branches]
     assert len(mat.branches) == len(spec.branches)
     for br, branch, w in zip(mat.branches, spec.branches, weights):
@@ -443,12 +449,13 @@ def test_ensemble_has_one_branch_per_formula_branch(toy, kind):
             assert np.array_equal(signs, np.sign(layer.C))
             assert len(mats) == len(layer.C)
             for b, power, m in zip(layer.b, layer.power, mats):
-                step = schedule_matrix(ens.schedule, toy, b * t)
+                step = cache(b)[0]
                 if power == 1:  # every cf and matching entry
                     assert np.array_equal(m, step)
                 else:  # a Childs-Wiebe entry S(t/l)^l
                     assert np.max(np.abs(m - np.linalg.matrix_power(step, power))) <= 1e-14
-
+                flat = np.linalg.matrix_power(flat_suzuki(toy, spec.chi, b * t), power)
+                assert np.max(np.abs(m - flat)) <= 1e-13
 
 @pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
 def test_expected_value_matches_enumeration(kind):
@@ -473,16 +480,27 @@ def test_materialize_builds_each_distinct_operator_once(toy, monkeypatch):
         return original(s, H, t)
 
     monkeypatch.setattr(mpfsim.ensembles, "schedule_matrix", counting)
-    spec = spec_from_b("cf", 1, 2, default_initial_b(1, 2, "cf"))
+    chi = 2
+    spec = spec_from_b("cf", chi, 2, default_initial_b(chi, 2, "cf"))
     ens = mpf_ensemble(spec, toy.L)
     t = 0.37
     mat = materialize(ens, toy, t)
     layers = [layer for branch in spec.branches for layer in branch]
-    assert sum(len(layer.b) for layer in layers) == 15
-    assert len(calls) == len({float(b) for layer in layers for b in layer.b}) == 5
+    assert sum(len(layer.b) for layer in layers) == 27
+    sizes = {abs(float(b)) for layer in layers for b in layer.b}
+    assert len(sizes) == 5
+    assert len(calls) == 2 ** (chi - 1) * len(sizes)
     monkeypatch.undo()
+    cache = SuzukiGridCache(toy, chi, np.array([t]))
+    entries = {}
     for br, mbr in zip(spec.branches, mat.branches):
         for layer, mats in zip(br, mbr.layer_matrices):
             for b, m in zip(layer.b, mats):
-                assert np.array_equal(m, schedule_matrix(ens.schedule, toy, b * t))
+                entries[float(b)] = m
+                assert np.array_equal(m, cache(b)[0])
+                assert np.max(np.abs(m - flat_suzuki(toy, chi, b * t))) <= 1e-13
+    negative = [b for b in entries if b < 0]
+    assert negative
+    for b in negative:
+        assert np.array_equal(entries[b], entries[-b].conj().T)
     assert spectral_distance(mat.resolution * mixture_mean(mat), mpf_matrix(spec, toy, t)) < 1e-12

@@ -20,7 +20,7 @@ from mpfsim.sampling import (
     shot_rng,
     single_shot,
 )
-from references import coverage_experiment, enumerate_combos
+from references import coverage_experiment, enumerate_combos, reference_shot
 
 Z1 = pauli_string("Z")
 
@@ -306,6 +306,66 @@ def test_factor_kernel_matches_density_formulas(cw_setup, rank):
 def test_shot_rng_rejects_negative_seed():
     with pytest.raises(ValueError):
         shot_rng(-1, 0, 0)
+
+
+def test_shot_rng_rejects_seed_beyond_128_bits():
+    # the key holds 128 bits; a wider seed would alias the seed 2^128 below it
+    shot_rng(2**128 - 1, 0, 0)
+    with pytest.raises(ValueError, match="seed"):
+        shot_rng(2**128 + 5, 0, 0)
+
+
+@pytest.mark.parametrize("index", [-1, 2**64])
+def test_shot_rng_rejects_stream_outside_64_bits(index):
+    shot_rng(0, 2**64 - 1, 0)
+    with pytest.raises(ValueError, match="stream"):
+        shot_rng(0, index, 0)
+
+
+@pytest.mark.parametrize("index", [-1, 2**64])
+def test_shot_rng_rejects_shot_outside_64_bits(index):
+    shot_rng(0, 0, 2**64 - 1)
+    with pytest.raises(ValueError, match="shot"):
+        shot_rng(0, 0, index)
+
+
+def reference_sampler(kind, state):
+    H = hamiltonian([pauli_string("XI"), pauli_string("ZZ"), pauli_string("IY")], label="toy3")
+    if kind == "cw":
+        spec = cw_coefficients(2, 2)
+    else:
+        spec = spec_from_b(kind, 2, 2, default_initial_b(2, 2, kind))
+    mat = materialize(mpf_ensemble(spec, H.L), H, 0.41)
+    if state == "pure":
+        rho = QuantumState.basis(H.dim, 1)
+    else:
+        v = np.linalg.qr(np.random.default_rng(8).normal(size=(4, 2)))[0]
+        rho = QuantumState.mixed(0.7 * np.outer(v[:, 0], v[:, 0]) + 0.3 * np.outer(v[:, 1], v[:, 1]))
+        assert rho.factor.shape == (4, 2)
+    return mat, rho, observable(pauli_string("ZX"))
+
+
+@pytest.mark.parametrize("state", ["pure", "mixed"])
+@pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
+def test_single_shot_matches_reference_bitwise(kind, state):
+    mat, rho, O = reference_sampler(kind, state)
+    sampler = prepare_sampler(mat, rho, O)
+    records = [single_shot(sampler, shot_rng(13, 2, j)) for j in range(600)]
+    assert records == [reference_shot(sampler, shot_rng(13, 2, j)) for j in range(600)]
+    assert len({rec.outcome for rec in records}) > 1
+    assert {rec.sign_product for rec in records} == {-1, 1}
+
+
+@pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
+def test_run_estimator_signed_sum_matches_reference_loop(kind):
+    mat, rho, O = reference_sampler(kind, "mixed")
+    sampler = prepare_sampler(mat, rho, O)
+    total = 0.0
+    for j in range(500):
+        rec = reference_shot(sampler, shot_rng(29, 1, j))
+        total += rec.sign_product * rec.outcome
+    _, state = run_estimator(mat, rho, O, 500, 29, stream=1)
+    assert state.signed_sum == total
 
 
 @pytest.mark.parametrize("state", ["pure", "mixed"])

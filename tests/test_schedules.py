@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,22 +8,35 @@ from hypothesis import strategies as st
 from mpfsim.models import anticommuting, free_fermion, heisenberg, hubbard_2x2, syk
 from mpfsim.operators import exact_evolution, hamiltonian, hermitian_term, pauli_string, spectral_distance
 from mpfsim.schedules import (
-    alpha_sums,
     merge_adjacent,
     merged_count,
-    remainder_bound,
     s1_schedule,
     s2_schedule,
     schedule_matrices,
     schedule_matrix,
     suzuki_constant,
     suzuki_merged_count,
+    suzuki_recursion,
     suzuki_schedule,
 )
 
 X = pauli_string("X")
 Y = pauli_string("Y")
 Z = pauli_string("Z")
+
+
+def alpha_sums(s):
+    """Total alpha per term; equals 1 per term for any Suzuki schedule."""
+    out = np.zeros(s.L)
+    for k, a in s.steps:
+        out[k] += a
+    return out
+
+
+def remainder_bound(s, H, t, ell):
+    """Taylor-remainder bound (sum_j |alpha_j| ||h_kj|| t)^(ell+1) / (ell+1)!."""
+    total = sum(abs(a) * H.terms[k].norm for k, a in s.steps)
+    return (total * t) ** (ell + 1) / math.factorial(ell + 1)
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +82,21 @@ def test_suzuki_merged_counts(chi, L):
 def test_alpha_sums_are_one(chi, L):
     sums = alpha_sums(suzuki_schedule(chi, L))
     assert np.allclose(sums, 1.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("chi", [1, 2, 3])
+def test_suzuki_recursion_matches_flat_schedule(chi):
+    H = hamiltonian([pauli_string("XI"), pauli_string("ZZ"), pauli_string("IY")])
+    s2, t, scales = merge_adjacent(s2_schedule(H.L)), 0.3, []
+
+    def build(y):
+        scales.append(y)
+        return schedule_matrix(s2, H, y * t)
+
+    got = suzuki_recursion(chi, -1.5, build)
+    assert len(scales) == 2 ** (chi - 1)
+    flat = schedule_matrix(merge_adjacent(suzuki_schedule(chi, H.L)), H, -1.5 * t)
+    assert np.max(np.abs(got - flat)) <= 1e-13
 
 
 def test_repeat_improves_error_quadratically(toy):
