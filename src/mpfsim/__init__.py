@@ -12,11 +12,9 @@ the command-line harness (:mod:`mpfsim.cli`).
 from .bounds import (
     g_factor,
     hoeffding_shots,
-    lemma_closeness_check,
     new_bound,
     resolution_shots,
     ts_bound,
-    ts_oracle_calls,
     zeta_cf,
     zeta_matching,
 )
@@ -27,7 +25,6 @@ from .mpf import (
     MatchingMPF,
     build_closedform,
     build_matching,
-    closedform_nu,
     cw_coefficients,
     matching_nu,
     mpf_ensemble,
@@ -54,7 +51,6 @@ from .sampling import expected_value, run_estimator
 from .schedules import (
     ExponentSchedule,
     merge_adjacent,
-    s1_schedule,
     s2_schedule,
     schedule_matrix,
     suzuki_schedule,

@@ -1,4 +1,4 @@
-"""Closed-form error bounds, oracle counts and shot planning.
+"""Closed-form error bounds, circuit depths and shot planning.
 
 All bound formulas are stated in terms of tau = Lambda * t with
 Lambda = sum_k ||h_k||.  The weight-and-scale factor zeta of the matching
@@ -19,7 +19,6 @@ from enum import Enum
 import numpy as np
 
 from .mpf import MPFSpec, branch_series
-from .operators import Observable, QuantumState, sandwich, spectral_norm
 from .schedules import suzuki_merged_count
 
 __all__ = [
@@ -34,10 +33,8 @@ __all__ = [
     "new_bound",
     "bound_for",
     "depth_report",
-    "ts_oracle_calls",
     "hoeffding_shots",
     "resolution_shots",
-    "lemma_closeness_check",
 ]
 
 
@@ -50,9 +47,6 @@ class Method(str, Enum):
 
 @dataclass(frozen=True)
 class ShotPlan:
-    epsilon: float
-    delta: float
-    Xi: float
     N: int
 
 
@@ -127,16 +121,6 @@ def depth_report(method: Method, chi: int, n_blocks: int, L: int) -> tuple[int, 
     return depth_merged, depth_blocks
 
 
-def ts_oracle_calls(chi: int, L: int, tau: float, epsilon: float) -> int:
-    """Oracle-count bound ceil(2 L 5^(2chi) (L tau)^(1+1/2chi) / eps^(1/2chi))."""
-    if not 0 < epsilon <= 1:
-        raise ValueError("epsilon must lie in (0, 1]")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    value = 2 * L * 5 ** (2 * chi) * (L * tau) ** (1 + 1 / (2 * chi)) / epsilon ** (1 / (2 * chi))
-    return math.ceil(value)
-
-
 def hoeffding_shots(epsilon: float, delta: float) -> ShotPlan:
     """Shots for |sample mean - truth| <= eps with confidence 1 - delta.
 
@@ -146,7 +130,7 @@ def hoeffding_shots(epsilon: float, delta: float) -> ShotPlan:
     """
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must lie in (0, 1)")
-    return ShotPlan(epsilon, delta, 1.0, math.ceil(2.0 * math.log(2.0 / delta) / epsilon**2))
+    return ShotPlan(math.ceil(2.0 * math.log(2.0 / delta) / epsilon**2))
 
 
 def resolution_shots(Xi: float, epsilon: float, delta: float) -> ShotPlan:
@@ -155,21 +139,5 @@ def resolution_shots(Xi: float, epsilon: float, delta: float) -> ShotPlan:
         raise ValueError("Xi must be >= 1")
     if not 0 < epsilon < 1 or not 0 < delta < 1:
         raise ValueError("epsilon and delta must lie in (0, 1)")
-    return ShotPlan(epsilon, delta, Xi, math.ceil(8.0 * math.log(2.0 / delta) * (Xi / epsilon) ** 2))
+    return ShotPlan(math.ceil(8.0 * math.log(2.0 / delta) * (Xi / epsilon) ** 2))
 
-
-def lemma_closeness_check(
-    U: np.ndarray,
-    V: np.ndarray,
-    Xi: float,
-    O: Observable,
-    rho: QuantumState,
-) -> tuple[float, float, bool]:
-    """Check |tr(O U rho U†) - Xi^2 tr(O V rho V†)| <= 3 ||Xi V - U||.
-
-    Returns (lhs, rhs, holds).  Requires the stored observable norm <= 1,
-    which :class:`Observable` guarantees by construction.
-    """
-    lhs = abs(sandwich(O, rho, U, U) - Xi**2 * sandwich(O, rho, V, V))
-    rhs = 3.0 * spectral_norm(Xi * V - U)
-    return lhs, rhs, bool(lhs <= rhs + 1e-12)

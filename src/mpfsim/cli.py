@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import Method, bound_for, depth_report, resolution_shots, ts_bound
 from .ensembles import materialize
 from .mpf import IllConditionedSystemError, MatchingSolveError, MPFSpec, cw_coefficients, mpf_ensemble
-from .models import MODEL_NAMES, ModelConfig, build_model
+from .models import MODEL_NAMES, build_model
 from .operators import (
     QuantumState,
     exact_evolution,
@@ -36,6 +36,7 @@ from .sampling import expected_value, run_estimator
 from .serialize import (
     format_float,
     load_mpf_spec,
+    node_blocks,
     read_experiment_config,
     save_mpf_spec,
     save_optim_result,
@@ -61,7 +62,7 @@ def _hamiltonian(args):
     """The two-term toy model, or the zoo model the model flags select."""
     if args.model == "toy":
         return hamiltonian([pauli_string("X"), pauli_string("Y")], label="toy")
-    return build_model(ModelConfig(name=args.model, n=args.n, N=args.syk_n, seed=args.model_seed))
+    return build_model(args.model, n=args.n, N=args.syk_n, seed=args.model_seed)
 
 
 def _add_model_flags(p: argparse.ArgumentParser, default: str = "anticommuting") -> None:
@@ -197,8 +198,7 @@ def _print_spec(spec: MPFSpec) -> None:
         print(f"Xi = {format_float(spec.resolution)}")
         return
     print(f"kind = {spec.kind}  chi = {spec.chi}  R = {spec.R}")
-    blocks = (spec.block0, *spec.blocks) if spec.kind == "cf" else spec.blocks
-    for i, blk in enumerate(blocks):
+    for i, blk in node_blocks(spec):
         print(f"block {i}: cond = {blk.cond:.3e}  |C|_1 = {format_float(blk.one_norm)}")
         print(f"  b  = {np.array2string(blk.b, precision=10)}")
         print(f"  nu = {np.array2string(blk.nu, precision=10)}")

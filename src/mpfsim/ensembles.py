@@ -41,9 +41,6 @@ __all__ = [
     "mixture_mean",
 ]
 
-DEFAULT_COMBO_CAP = 10**6
-
-
 @dataclass(frozen=True)
 class SamplingEnsemble:
     """A formula and the merged S_2 schedule its entries S_2chi(b t)^power are built from."""

@@ -6,14 +6,12 @@ fermionic models need.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
 from .operators import HamiltonianSpec, hamiltonian, hermitian_term, pauli_string
 
 __all__ = [
-    "ModelConfig",
     "build_model",
     "MODEL_NAMES",
     "heisenberg",
@@ -184,31 +182,21 @@ def free_fermion(n_sites: int) -> tuple[np.ndarray, HamiltonianSpec]:
 MODEL_NAMES = ("heisenberg", "anticommuting", "syk", "hubbard", "free_fermion")
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """Declarative model selection for the CLI and experiment configs."""
+def build_model(name: str, n: int = 6, N: int = 10, seed: int | None = None) -> HamiltonianSpec:
+    """The zoo model ``name``: ``n`` heisenberg or free-fermion sites, ``N`` SYK majoranas.
 
-    name: str
-    n: int = 6  # heisenberg sites / free-fermion sites (200 for the paper-scale run)
-    N: int = 10  # SYK majorana count
-    seed: int | None = None  # SYK coupling seed; mandatory for syk
-
-    def __post_init__(self):
-        if self.name not in MODEL_NAMES:
-            raise ValueError(f"unknown model {self.name!r}; choose from {MODEL_NAMES}")
-        if self.name == "syk" and self.seed is None:
-            raise ValueError("syk requires an explicit coupling seed")
-
-
-def build_model(cfg: ModelConfig) -> HamiltonianSpec:
-    if cfg.name == "heisenberg":
-        return heisenberg(cfg.n)
-    if cfg.name == "anticommuting":
+    SYK needs an explicit coupling ``seed``; the other models ignore it.
+    """
+    if name == "heisenberg":
+        return heisenberg(n)
+    if name == "anticommuting":
         return anticommuting()
-    if cfg.name == "syk":
-        return syk(cfg.N, cfg.seed)
-    if cfg.name == "hubbard":
+    if name == "syk":
+        if seed is None:
+            raise ValueError("syk requires an explicit coupling seed")
+        return syk(N, seed)
+    if name == "hubbard":
         return hubbard_2x2()
-    if cfg.name == "free_fermion":
-        return free_fermion(cfg.n)[1]
-    raise ValueError(f"unknown model {cfg.name!r}")
+    if name == "free_fermion":
+        return free_fermion(n)[1]
+    raise ValueError(f"unknown model {name!r}; choose from {MODEL_NAMES}")

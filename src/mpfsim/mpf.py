@@ -43,7 +43,6 @@ __all__ = [
     "solve_vandermonde",
     "cw_coefficients",
     "matching_nu",
-    "closedform_nu",
     "build_lblock",
     "build_matching",
     "build_closedform",
@@ -404,13 +403,6 @@ def matching_nu(chi: int, R: int) -> list[np.ndarray]:
         f"no real matching solution found for chi={chi}, R={R} within "
         f"{MATCHING_MAX_ITERATIONS} iterations (consider the closed-form kind instead)"
     )
-
-
-def closedform_nu(chi: int, R: int, n: int) -> np.ndarray:
-    """Target coefficient vector of closed-form block ``n`` (0 = shift block)."""
-    if not 0 <= n <= R:
-        raise ValueError("need 0 <= n <= R")
-    return _closedform_nus(chi, R)[n].copy()
 
 
 @lru_cache(maxsize=None)

@@ -16,12 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import new_bound, zeta_cf, zeta_matching
-from .mpf import (
-    IllConditionedSystemError,
-    build_closedform,
-    build_matching,
-    matching_nu,
-)
+from .mpf import IllConditionedSystemError, build_closedform, build_matching
 
 __all__ = [
     "OptimizerConfig",
@@ -250,8 +245,6 @@ def optimize_mpf(kind: str, chi: int, R: int, config: OptimizerConfig | None = N
     stored resolved in the result's config.
     """
     config = _resolve(config or OptimizerConfig(), kind, chi, R)
-    if kind == "matching":
-        matching_nu(chi, R)  # fail early and cache before the search loop
     b0 = default_initial_b(chi, R, kind)
     m = 2 * chi * R + 1
     n_blocks = len(b0)

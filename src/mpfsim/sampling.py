@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import DEFAULT_COMBO_CAP, MaterializedEnsemble, mixture_mean
+from .ensembles import MaterializedEnsemble, mixture_mean
 from .operators import Observable, QuantumState, sandwich
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 DENSITY_DIM_CAP = 64
+DEFAULT_COMBO_CAP = 10**6
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,6 @@ from .operators import HamiltonianSpec
 
 __all__ = [
     "ExponentSchedule",
-    "s1_schedule",
     "s2_schedule",
     "suzuki_schedule",
     "suzuki_constant",
@@ -59,13 +58,6 @@ class ExponentSchedule:
         for k, _ in self.steps:
             if not 0 <= k < self.L:
                 raise ValueError(f"term index {k} out of range for L={self.L}")
-
-
-def s1_schedule(L: int) -> ExponentSchedule:
-    """First-order formula: every term once, ascending, alpha = 1."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    return ExponentSchedule(tuple((k, 1.0) for k in range(L)), L=L)
 
 
 def s2_schedule(L: int) -> ExponentSchedule:

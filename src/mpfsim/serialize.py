@@ -14,12 +14,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .mpf import MPFSpec, cw_coefficients
+from .mpf import LBlock, MPFSpec, cw_coefficients
 from .optimize import OptimResult, spec_from_b
 
 __all__ = [
     "format_float",
     "format_vector",
+    "node_blocks",
     "save_mpf_spec",
     "load_mpf_spec",
     "save_optim_result",
@@ -50,6 +51,17 @@ def _parse_kv(text: str) -> dict[str, str]:
     return out
 
 
+def _first_block(kind: str) -> int:
+    """Number of a formula's first node block: the closed-form shift block is 0, matching starts at 1."""
+    return 0 if kind == "cf" else 1
+
+
+def node_blocks(spec: MPFSpec) -> list[tuple[int, LBlock]]:
+    """The node blocks of a matching or closed-form spec, each with its number ``i`` of ``b<i>``."""
+    blocks = (spec.block0, *spec.blocks) if spec.kind == "cf" else spec.blocks
+    return list(enumerate(blocks, _first_block(spec.kind)))
+
+
 def _spec_lines(spec: MPFSpec) -> list[str]:
     if spec.kind == "cw":
         return [
@@ -66,9 +78,7 @@ def _spec_lines(spec: MPFSpec) -> list[str]:
         f"R = {spec.R}",
         f"xi = {format_float(spec.resolution)}",
     ]
-    # Node blocks are numbered from 1; the closed-form shift block is b0.
-    first, blocks = (0, (spec.block0, *spec.blocks)) if spec.kind == "cf" else (1, spec.blocks)
-    for idx, blk in enumerate(blocks, first):
+    for idx, blk in node_blocks(spec):
         lines.append(f"b{idx} = {format_vector(blk.b)}")
         lines.append(f"c{idx} = {format_vector(blk.C)}")
         lines.append(f"nu{idx} = {format_vector(blk.nu)}")
@@ -93,8 +103,7 @@ def load_mpf_spec(path: str | Path) -> MPFSpec:
             spec = cw_coefficients(chi, int(kv["K"]), ells)
         elif kind in ("matching", "cf"):
             R = int(kv["R"])
-            first = 1 if kind == "matching" else 0
-            spec = spec_from_b(kind, chi, R, [_vector(kv[f"b{i}"]) for i in range(first, R + 1)])
+            spec = spec_from_b(kind, chi, R, [_vector(kv[f"b{i}"]) for i in range(_first_block(kind), R + 1)])
         else:
             raise ValueError(f"unknown spec kind {kind!r}")
         # Every value the writer writes must agree with the rebuilt spec's.
@@ -128,8 +137,8 @@ def save_optim_result(result: OptimResult, path: str | Path) -> None:
         f"loss_value = {format_float(result.loss_value)}",
         f"history = {format_vector(result.history)}",
     ]
-    for i, b in enumerate(result.b_list):
-        lines.append(f"b{i if result.kind == 'cf' else i + 1} = {format_vector(b)}")
+    for i, b in enumerate(result.b_list, _first_block(result.kind)):
+        lines.append(f"b{i} = {format_vector(b)}")
     Path(path).write_text("\n".join(lines) + "\n")
 
 

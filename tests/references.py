@@ -1,11 +1,31 @@
-"""Brute-force references the tests check the sampling code against."""
+"""Brute-force references and paper formulas the tests check the program code against."""
 
 import itertools
 
 import numpy as np
 
 from mpfsim.bounds import hoeffding_shots
+from mpfsim.operators import sandwich, spectral_norm
 from mpfsim.sampling import ShotRecord, expected_value, prepare_sampler, shot_rng, single_shot
+from mpfsim.schedules import ExponentSchedule
+
+
+def s1_schedule(L):
+    """First-order formula: every term once, ascending, alpha = 1."""
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    return ExponentSchedule(tuple((k, 1.0) for k in range(L)), L=L)
+
+
+def lemma_closeness_check(U, V, Xi, O, rho):
+    """Check |tr(O U rho U†) - Xi^2 tr(O V rho V†)| <= 3 ||Xi V - U||.
+
+    Returns (lhs, rhs, holds).  Requires the stored observable norm <= 1,
+    which :class:`mpfsim.operators.Observable` guarantees by construction.
+    """
+    lhs = abs(sandwich(O, rho, U, U) - Xi**2 * sandwich(O, rho, V, V))
+    rhs = 3.0 * spectral_norm(Xi * V - U)
+    return lhs, rhs, bool(lhs <= rhs + 1e-12)
 
 
 def enumerate_combos(mat):

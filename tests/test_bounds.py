@@ -12,11 +12,9 @@ from mpfsim.bounds import (
     depth_report,
     g_factor,
     hoeffding_shots,
-    lemma_closeness_check,
     new_bound,
     resolution_shots,
     ts_bound,
-    ts_oracle_calls,
     zeta,
     zeta_cf,
     zeta_matching,
@@ -31,6 +29,7 @@ from mpfsim.mpf import (
 )
 from mpfsim.operators import QuantumState, observable, pauli_string
 from mpfsim.optimize import default_initial_b, spec_from_b
+from references import lemma_closeness_check
 
 
 def hand_block(b, C):
@@ -157,19 +156,6 @@ def test_zeta_on_built_specs():
     assert zeta_matching(m) == pytest.approx(brute_zeta_matching(m), rel=1e-12)
     cf = build_closedform(1, 2, [distinct_b(5, rng) for _ in range(3)])
     assert zeta_cf(cf) == pytest.approx(brute_zeta_cf(cf), rel=1e-12)
-
-
-def test_ts_oracle_calls():
-    assert ts_oracle_calls(1, 1, 1.0, 1.0) == 50
-    # independent evaluation through logarithms
-    expected = math.exp(
-        math.log(2 * 2 * 5**4) + 1.25 * math.log(2.0) - 0.25 * math.log(0.01)
-    )
-    assert ts_oracle_calls(2, 2, 1.0, 0.01) == math.ceil(expected)
-    assert ts_oracle_calls(2, 2, 1.0, 0.01) == 18804  # formula value 18803.05, ceiled
-    assert ts_oracle_calls(1, 2, 1.0, 0.01) >= ts_oracle_calls(1, 2, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        ts_oracle_calls(1, 1, 1.0, 0.0)
 
 
 def test_hoeffding_shots():

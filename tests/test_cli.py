@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,6 +37,16 @@ def test_coeffs_matching_prints_blocks(capsys):
     code, out, _ = run(capsys, "coeffs", "--kind", "matching", "--chi", "1", "--R", "2")
     assert code == 0
     assert "cond" in out and "Xi =" in out
+
+
+@pytest.mark.parametrize("kind, first", [("matching", 1), ("cf", 0)])
+def test_coeffs_block_labels_are_the_spec_file_numbers(capsys, tmp_path, kind, first):
+    numbers = [str(i) for i in range(first, 3)]
+    spec_file = tmp_path / f"{kind}.mpf"
+    code, out, _ = run(capsys, "coeffs", "--kind", kind, "--chi", "1", "--R", "2", "--out", str(spec_file))
+    assert code == 0
+    assert re.findall(r"^block (\d+):", out, re.M) == numbers
+    assert re.findall(r"^b(\d+) =", spec_file.read_text(), re.M) == numbers
 
 
 def test_coeffs_b_file(capsys, tmp_path):

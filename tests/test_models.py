@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mpfsim.models import (
-    ModelConfig,
     anticommuting,
     build_model,
     free_fermion,
@@ -145,12 +144,12 @@ def test_free_fermion_eigenvalue_extremes_n200():
 
 
 def test_model_config_dispatch():
-    assert build_model(ModelConfig("heisenberg", n=3)).L == 4
-    assert build_model(ModelConfig("syk", N=8, seed=1)).L == 70
+    assert build_model("heisenberg", n=3).L == 4
+    assert build_model("syk", N=8, seed=1).L == 70
     with pytest.raises(ValueError, match="seed"):
-        ModelConfig("syk", N=8)
+        build_model("syk", N=8)
     with pytest.raises(ValueError, match="unknown model"):
-        ModelConfig("ising")
+        build_model("ising")
 
 
 def test_every_model_term_is_valid_hermitian():

@@ -16,7 +16,6 @@ from mpfsim.mpf import (
     build_closedform,
     build_lblock,
     build_matching,
-    closedform_nu,
     cw_coefficients,
     matching_nu,
     mpf_ensemble,
@@ -164,26 +163,28 @@ def test_matching_nu_budget_failure_raises(monkeypatch):
 
 
 def test_closedform_nu_values():
-    nu = closedform_nu(1, 2, 2)
+    nu = mpfsim.mpf._closedform_nus(1, 2)[2]
     assert nu[1] == pytest.approx(1.0 / 3.0, abs=1e-15)
     assert nu[2] == pytest.approx(1.0 / 6.0, abs=1e-15)
-    nu = closedform_nu(2, 2, 2)
+    nu = mpfsim.mpf._closedform_nus(2, 2)[2]
     assert nu[4] == pytest.approx(1.0 / 70.0, abs=1e-15)
 
 
 def test_closedform_nu_shift_and_first_blocks():
-    nu0 = closedform_nu(2, 3, 0)
+    nu0 = mpfsim.mpf._closedform_nus(2, 3)[0]
     expected = np.zeros(13)
     expected[4] = 1.0
     assert np.array_equal(nu0, expected)
-    nu1 = closedform_nu(2, 3, 1)
+    nu1 = mpfsim.mpf._closedform_nus(2, 3)[1]
     assert np.allclose(nu1[:5], 1.0) and np.allclose(nu1[5:], 0.0)
 
 
-def test_closedform_nu_returns_a_copy_of_the_cached_targets():
-    nu = closedform_nu(2, 3, 2)
-    nu[:] = 0.0
-    assert closedform_nu(2, 3, 2)[1] == math.factorial(4) / math.factorial(5)
+def test_closedform_nu_targets_are_read_only():
+    nu = mpfsim.mpf._closedform_nus(2, 3)[2]
+    assert not nu.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        nu[:] = 0.0
+    assert nu[1] == math.factorial(4) / math.factorial(5)
 
 
 # --- block memo ------------------------------------------------------------
@@ -191,7 +192,7 @@ def test_closedform_nu_returns_a_copy_of_the_cached_targets():
 
 def test_block_memo_shares_one_read_only_block():
     b = np.array([1.0, -1.0, 2.0, -2.0, 3.0])
-    nu = closedform_nu(1, 2, 1)
+    nu = mpfsim.mpf._closedform_nus(1, 2)[1]
     blk = build_lblock(1, 2, b, nu)
     assert build_lblock(1, 2, b.copy(), nu.copy()) is blk
     for arr in (blk.b, blk.nu, blk.C):
@@ -208,7 +209,7 @@ def test_block_memo_reraises_a_cached_failure_with_its_message(monkeypatch):
     monkeypatch.setattr(mpfsim.mpf, "solve_vandermonde", lambda b, nu: calls.append(1) or solve(b, nu))
     mpfsim.mpf._solved_block.cache_clear()
     b = np.array([1.0, 1.0, 2.0, -2.0, 3.0])
-    nu = closedform_nu(1, 2, 1)
+    nu = mpfsim.mpf._closedform_nus(1, 2)[1]
     with pytest.raises(IllConditionedSystemError) as first:
         build_lblock(1, 2, b, nu)
     with pytest.raises(IllConditionedSystemError) as second:
@@ -220,7 +221,7 @@ def test_block_memo_reraises_a_cached_failure_with_its_message(monkeypatch):
 
 def test_block_memo_holds_at_most_its_bound():
     assert BLOCK_MEMO_SIZE == 64
-    nu = closedform_nu(1, 2, 1)
+    nu = mpfsim.mpf._closedform_nus(1, 2)[1]
     for i in range(3 * BLOCK_MEMO_SIZE):
         build_lblock(1, 2, np.array([1.0, -1.0, 2.0, -2.0, 3.0 + 0.25 * i]), nu)
         assert mpfsim.mpf._solved_block.cache_info().currsize <= BLOCK_MEMO_SIZE

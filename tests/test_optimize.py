@@ -6,6 +6,7 @@ import pytest
 
 import mpfsim.mpf
 import mpfsim.optimize
+from mpfsim.mpf import MatchingSolveError
 from mpfsim.optimize import (
     OptimizerConfig,
     basin_hop,
@@ -146,6 +147,19 @@ def test_optimize_mpf_trivial_single_block():
     cfg = OptimizerConfig(hops=1, seed=0, max_local_iters=200)
     result = optimize_mpf("matching", 1, 1, cfg)
     assert result.Xi == pytest.approx(1.0, abs=1e-9)
+
+
+def test_optimize_mpf_raises_a_failed_matching_solve_from_its_first_loss(monkeypatch):
+    # the failure is raised, not scored +inf, so the search never starts
+    monkeypatch.setattr(mpfsim.mpf, "MATCHING_MAX_ITERATIONS", 1)
+    monkeypatch.setattr(mpfsim.mpf, "MATCHING_RESIDUAL_TARGET", 1e-300)
+    monkeypatch.setattr(mpfsim.mpf, "_matching_cache", {})
+    calls = []
+    original = mpfsim.optimize.loss
+    monkeypatch.setattr(mpfsim.optimize, "loss", lambda *args: calls.append(args) or original(*args))
+    with pytest.raises(MatchingSolveError):
+        optimize_mpf("matching", 1, 4, OptimizerConfig(hops=1))
+    assert len(calls) == 1
 
 
 def test_optimize_mpf_default_loss_per_kind():

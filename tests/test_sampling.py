@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mpfsim.bounds import hoeffding_shots, lemma_closeness_check
+from mpfsim.bounds import hoeffding_shots
 from mpfsim.ensembles import materialize, mixture_mean
 from mpfsim.mpf import cw_coefficients, mpf_ensemble, mpf_matrix
 from mpfsim.operators import (
@@ -20,7 +20,7 @@ from mpfsim.sampling import (
     shot_rng,
     single_shot,
 )
-from references import coverage_experiment, enumerate_combos, reference_shot
+from references import coverage_experiment, enumerate_combos, lemma_closeness_check, reference_shot
 
 Z1 = pauli_string("Z")
 

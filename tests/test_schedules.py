@@ -10,7 +10,6 @@ from mpfsim.operators import exact_evolution, hamiltonian, hermitian_term, pauli
 from mpfsim.schedules import (
     merge_adjacent,
     merged_count,
-    s1_schedule,
     s2_schedule,
     schedule_matrices,
     schedule_matrix,
@@ -19,6 +18,7 @@ from mpfsim.schedules import (
     suzuki_recursion,
     suzuki_schedule,
 )
+from references import s1_schedule
 
 X = pauli_string("X")
 Y = pauli_string("Y")
