@@ -278,25 +278,30 @@ def cw_coefficients(chi: int, K: int, ells: tuple[int, ...] | None = None) -> Ch
 
 
 # ---------------------------------------------------------------------------
-# Truncated power-series helpers (coefficient arrays in x^k).
+# Truncated power-series helpers (coefficient lists in x^k, Python floats).
 
 
-def _poly_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    out = np.zeros(order + 1)
-    for i in range(min(len(a), order + 1)):
-        ai = a[i]
+def _poly_mul(a: list[float], b: list[float], order: int) -> list[float]:
+    """Truncated product over Python floats.
+
+    Each coefficient sums a_i b_j in increasing i, the order of the row-wise
+    numpy loop this replaces, so results are bitwise equal to it;
+    ``np.convolve`` sums in another order.
+    """
+    out = [0.0] * (order + 1)
+    for i, ai in enumerate(a[: order + 1]):
         if ai == 0.0:
             continue
-        top = min(len(b), order + 1 - i)
-        out[i : i + top] += ai * b[:top]
+        for j, bj in enumerate(b[: order + 1 - i]):
+            out[i + j] += ai * bj
     return out
 
 
-def _nu_series(nu: np.ndarray, order: int) -> np.ndarray:
+def _nu_series(nu: np.ndarray, order: int) -> list[float]:
     """Series sum_k nu_k x^k / k! truncated at ``order``."""
-    out = np.zeros(order + 1)
-    for k in range(min(len(nu), order + 1)):
-        out[k] = nu[k] / math.factorial(k)
+    out = [0.0] * (order + 1)
+    for k, nu_k in enumerate(nu[: order + 1].tolist()):
+        out[k] = nu_k / math.factorial(k)
     return out
 
 
@@ -307,8 +312,7 @@ def _nu_series(nu: np.ndarray, order: int) -> np.ndarray:
 def _matching_residual(nus: list[np.ndarray], chi: int, R: int) -> np.ndarray:
     """Per-order defects k! * mu_k - 1 of the block-product series, k = 1..2chiR."""
     order = 2 * chi * R
-    prod = np.zeros(order + 1)
-    prod[0] = 1.0
+    prod = [1.0] + [0.0] * order
     for nu in nus:
         prod = _poly_mul(prod, _nu_series(nu, order), order)
     return np.array([prod[k] * math.factorial(k) - 1.0 for k in range(1, order + 1)])
@@ -320,8 +324,7 @@ def _matching_jacobian(nus: list[np.ndarray], chi: int, R: int) -> np.ndarray:
     J = np.empty((m, m))
     series = [_nu_series(nu, order) for nu in nus]
     for r in range(R):
-        rest = np.zeros(order + 1)
-        rest[0] = 1.0
+        rest = [1.0] + [0.0] * order
         for rp in range(R):
             if rp != r:
                 rest = _poly_mul(rest, series[rp], order)

@@ -1,11 +1,12 @@
 """Dense complex operator algebra.
 
 Everything downstream works with dense ``numpy`` arrays: Pauli strings,
-Hermitian Hamiltonian terms with cached eigendecompositions, exact time
-evolution, spectral distances, observables and states.  The benchmark
-models cap out at 8 qubits / a 200-dimensional single-particle matrix, so
-dense linear algebra is the right regime; there is deliberately no sparse
-or tensor-network machinery here.
+Hermitian Hamiltonian terms (each with its row rotation or, failing that,
+its eigendecomposition), exact time evolution, spectral distances,
+observables and states.  The benchmark models cap out at 8 qubits / a
+200-dimensional single-particle matrix, so dense linear algebra is the
+right regime; there is deliberately no sparse or tensor-network machinery
+here.
 """
 
 from __future__ import annotations
@@ -31,6 +32,9 @@ __all__ = [
     "lambda_norm",
 ]
 
+# Largest allowed entrywise defect max|A - A^dagger|, relative to max|A|.
+# max|A| <= ||A||_2 <= d max|A|, so this is within a factor of d of a
+# spectral-norm-relative tolerance.
 HERMITICITY_RTOL = 1e-12
 MAX_DIM = 2**10
 
@@ -68,19 +72,22 @@ def spectral_norm(a: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class HermitianTerm:
-    """One Hermitian Hamiltonian term with its eigendecomposition.
+    """One Hermitian Hamiltonian term with what its exponential needs.
 
-    The decomposition is computed once at construction; instances are
-    immutable.  ``rotation`` is ``(cols, |v|, v/|v|)`` when every row of the
-    matrix holds at most one nonzero (see :func:`_row_rotation`), else None;
-    the schedule step loop exponentiates such a term without its eigenbasis.
+    ``rotation`` is ``(cols, |v|, v/|v|)`` when every row of the matrix holds
+    at most one nonzero (see :func:`_row_rotation`), else None.  The schedule
+    step loop exponentiates a rotation term without an eigenbasis, so such a
+    term holds ``eigenvalues = eigenvectors = None`` and ``norm = max|v|``;
+    any other term holds its eigendecomposition, computed once.  The total of
+    a :class:`HamiltonianSpec` always holds its eigendecomposition.
+    Instances are immutable.
     """
 
     matrix: np.ndarray
     label: str
     norm: float
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
+    eigenvalues: np.ndarray | None
+    eigenvectors: np.ndarray | None
     rotation: tuple[np.ndarray, np.ndarray, np.ndarray] | None
 
     @property
@@ -91,20 +98,21 @@ class HermitianTerm:
 def _hermitian(a, what: str) -> np.ndarray:
     """``a`` as a complex array: square, finite, Hermitian within HERMITICITY_RTOL.
 
-    Inputs failing the tolerance are rejected rather than symmetrized: silent
-    symmetrization would hide construction bugs.
+    The defect is entrywise, max|a - a^dagger| against max|a|.  Inputs failing
+    the tolerance are rejected rather than symmetrized: silent symmetrization
+    would hide construction bugs.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what}: matrix must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{what}: non-finite entries")
-    scale = spectral_norm(a)
-    herm_defect = spectral_norm(a - a.conj().T)
+    scale = np.max(np.abs(a), initial=0.0)
+    herm_defect = np.max(np.abs(a - a.conj().T), initial=0.0)
     if herm_defect > HERMITICITY_RTOL * max(scale, 1e-300):
         raise ValueError(
             f"{what}: not Hermitian within {HERMITICITY_RTOL:g} relative "
-            f"(defect {herm_defect:.3e}, norm {scale:.3e})"
+            f"(defect {herm_defect:.3e}, largest entry {scale:.3e})"
         )
     return a
 
@@ -138,9 +146,20 @@ def _row_rotation(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
 def hermitian_term(matrix: np.ndarray, label: str = "") -> HermitianTerm:
     """Validate (see :func:`_hermitian`) and wrap a copy of a Hermitian matrix.
 
-    The term freezes its own copy; the caller's array stays writable.
+    A row-rotation term keeps its rotation and no eigenbasis; see
+    :class:`HermitianTerm`.  The term freezes its own copy; the caller's
+    array stays writable.
     """
+    return _term(matrix, label, eigenbasis=False)
+
+
+def _term(matrix, label: str, eigenbasis: bool) -> HermitianTerm:
+    """:func:`hermitian_term`, with ``eigenbasis=True`` forcing the eigendecomposition."""
     matrix = _hermitian(np.array(matrix, dtype=complex), f"term {label!r}")
+    matrix.setflags(write=False)
+    rotation = _row_rotation(matrix)
+    if rotation is not None and not eigenbasis:
+        return HermitianTerm(matrix, label, float(rotation[1].max()), None, None, rotation)
     try:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
@@ -148,15 +167,7 @@ def hermitian_term(matrix: np.ndarray, label: str = "") -> HermitianTerm:
     w = w.astype(float)
     w.setflags(write=False)
     v.setflags(write=False)
-    matrix.setflags(write=False)
-    return HermitianTerm(
-        matrix=matrix,
-        label=label,
-        norm=float(np.max(np.abs(w))) if w.size else 0.0,
-        eigenvalues=w,
-        eigenvectors=v,
-        rotation=_row_rotation(matrix),
-    )
+    return HermitianTerm(matrix, label, float(np.max(np.abs(w))), w, v, rotation)
 
 
 @dataclass(frozen=True)
@@ -189,7 +200,7 @@ def hamiltonian(terms, label: str = "H") -> HamiltonianSpec:
     dim = wrapped[0].dim
     if any(t.dim != dim for t in wrapped):
         raise ValueError("all terms must share one dimension")
-    total = hermitian_term(sum(t.matrix for t in wrapped), label=label)
+    total = _term(sum(t.matrix for t in wrapped), label, eigenbasis=True)
     return HamiltonianSpec(terms=tuple(wrapped), dim=dim, total=total)
 
 
@@ -240,7 +251,7 @@ class Observable:
 
 
 def observable(matrix: np.ndarray, label: str = "O") -> Observable:
-    term = hermitian_term(matrix, label=label)
+    term = _term(matrix, label, eigenbasis=True)
     scale = max(1.0, term.norm)
     return Observable(
         matrix=term.matrix / scale,

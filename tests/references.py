@@ -1,6 +1,7 @@
 """Brute-force references and paper formulas the tests check the program code against."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -26,6 +27,71 @@ def lemma_closeness_check(U, V, Xi, O, rho):
     lhs = abs(sandwich(O, rho, U, U) - Xi**2 * sandwich(O, rho, V, V))
     rhs = 3.0 * spectral_norm(Xi * V - U)
     return lhs, rhs, bool(lhs <= rhs + 1e-12)
+
+
+def reference_term_norm(matrix):
+    """max |eigenvalue| of a Hermitian matrix, from ``np.linalg.eigh``.
+
+    LAPACK's values-only driver (``np.linalg.eigvalsh``) agrees with this on
+    every row-rotation term of the zoo, but can differ from it in the last
+    bits on dense terms such as Heisenberg's.
+    """
+    return float(np.max(np.abs(np.linalg.eigh(matrix)[0])))
+
+
+def array_poly_mul(a, b, order):
+    """Truncated product of coefficient arrays, one scaled-row add per a_i.
+
+    The numpy form that ``mpfsim.mpf._poly_mul`` replaced with Python floats;
+    both must give the same bits.
+    """
+    out = np.zeros(order + 1)
+    for i in range(min(len(a), order + 1)):
+        if a[i] == 0.0:
+            continue
+        top = min(len(b), order + 1 - i)
+        out[i : i + top] += a[i] * b[:top]
+    return out
+
+
+def exact_block_weights(b, nu):
+    """The correctly rounded solution C of sum_q C_q b_q^j = nu_j, j = 0..n-1.
+
+    Bjorck-Pereyra for the dual Vandermonde system (Golub & Van Loan, Matrix
+    Computations, Alg. 4.6.2), run in exact rationals on the exact values of
+    the float inputs and rounded to float64 once.
+    """
+    x = [Fraction(v) for v in np.asarray(b, dtype=float).tolist()]
+    z = [Fraction(v) for v in np.asarray(nu, dtype=float).tolist()]
+    n = len(x) - 1
+    for k in range(n):
+        for i in range(n, k, -1):
+            z[i] -= x[k] * z[i - 1]
+    for k in range(n - 1, -1, -1):
+        for i in range(k + 1, n + 1):
+            z[i] /= x[i] - x[i - k - 1]
+        for i in range(k, n):
+            z[i] -= z[i + 1]
+    return np.array([float(v) for v in z])
+
+
+def componentwise_backward_error(b, nu, C):
+    """max_j |sum_q C_q b_q^j - nu_j| / (sum_q |C_q| |b_q|^j + |nu_j|), in exact arithmetic.
+
+    The Oettli-Prager componentwise backward error of weights C (Higham,
+    Accuracy and Stability of Numerical Algorithms, ch. 7): the smallest
+    relative entrywise change of B and nu for which C solves B C = nu.
+    """
+    x = [Fraction(v) for v in np.asarray(b, dtype=float).tolist()]
+    c = [Fraction(v) for v in np.asarray(C, dtype=float).tolist()]
+    worst = Fraction(0)
+    for j, nu_j in enumerate(np.asarray(nu, dtype=float).tolist()):
+        powers = [xq**j for xq in x]
+        resid = abs(sum(cq * pq for cq, pq in zip(c, powers)) - Fraction(nu_j))
+        scale = sum(abs(cq * pq) for cq, pq in zip(c, powers)) + abs(Fraction(nu_j))
+        if resid:
+            worst = max(worst, resid / scale)
+    return float(worst)
 
 
 def enumerate_combos(mat):

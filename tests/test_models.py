@@ -13,7 +13,19 @@ from mpfsim.models import (
     jw_majorana,
     syk,
 )
-from mpfsim.operators import lambda_norm, pauli_string, spectral_norm
+from mpfsim.operators import lambda_norm, observable, pauli_string, spectral_norm
+from references import reference_term_norm
+
+ZOO = {
+    "heisenberg6": lambda: heisenberg(6),
+    "anticommuting": anticommuting,
+    "syk10": lambda: syk(10, seed=3),
+    "syk8": lambda: syk(8, seed=5),
+    "hubbard": hubbard_2x2,
+    "free_fermion200": lambda: free_fermion(200)[1],
+    "free_fermion8": lambda: free_fermion(8)[1],
+    "free_fermion7": lambda: free_fermion(7)[1],
+}
 
 
 def test_heisenberg_term_counts():
@@ -163,3 +175,51 @@ def test_every_model_term_is_valid_hermitian():
         for term in spec.terms:
             defect = spectral_norm(term.matrix - term.matrix.conj().T)
             assert defect <= 1e-12 * max(term.norm, 1e-300)
+
+
+@pytest.mark.parametrize("model", sorted(ZOO))
+def test_term_norms_and_lambda_are_the_eigenvalue_reference_bitwise(model):
+    H = ZOO[model]()
+    norms = [reference_term_norm(term.matrix) for term in H.terms]
+    assert [term.norm for term in H.terms] == norms
+    assert lambda_norm(H) == float(sum(norms))
+
+
+@pytest.mark.parametrize("model", sorted(ZOO))
+def test_rotation_terms_hold_no_eigenbasis_and_the_total_does(model):
+    H = ZOO[model]()
+    for term in H.terms:
+        if term.rotation is not None:
+            assert term.eigenvalues is None and term.eigenvectors is None
+            assert term.norm == float(np.max(term.rotation[1]))
+        else:
+            assert term.eigenvalues is not None and term.eigenvectors is not None
+    assert H.total.eigenvalues is not None and H.total.eigenvectors is not None
+    if not model.startswith(("heisenberg", "free_fermion7")):
+        assert all(term.rotation is not None for term in H.terms)
+
+
+def test_a_rotation_observable_keeps_its_eigenbasis():
+    # ZIIII is itself a row rotation; the sampler reads the observable's basis
+    O = observable(pauli_string("ZIIII"))
+    assert O.eigenvectors.shape == (32, 32)
+    assert sorted(O.eigenvalues.tolist()) == [-1.0] * 16 + [1.0] * 16
+
+
+def test_syk_build_runs_one_eigh_and_no_svd(monkeypatch):
+    calls = {"eigh": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    # np.linalg.norm(a, 2) reaches the SVD through numpy's own module namespace
+    for module in {np.linalg, getattr(np.linalg, "_linalg", np.linalg)}:
+        monkeypatch.setattr(module, "svd", counted("svd", module.svd))
+    H = syk(8, seed=5)
+    assert calls == {"eigh": 1, "svd": 0}
+    assert H.total.eigenvectors is not None

@@ -28,7 +28,7 @@ from mpfsim.optimize import default_initial_b, spec_from_b
 from mpfsim.sampling import expected_value
 from mpfsim.schedules import merge_adjacent, s2_schedule, schedule_matrix, suzuki_schedule
 from mpfsim.sweep import SuzukiGridCache
-from references import enumerate_combos
+from references import array_poly_mul, componentwise_backward_error, enumerate_combos, exact_block_weights
 
 
 @pytest.fixture(scope="module")
@@ -65,15 +65,21 @@ def test_solve_vandermonde_rejects_coincident_nodes():
         solve_vandermonde(np.array([1.0, 1.0 + 1e-16, 2.0]), np.array([1.0, 0.0, 0.0]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 10_000), n=st.sampled_from([3, 5, 7, 13]))
-@example(seed=2233, n=13)  # float64 residual 1.86e-9, extended-precision 7.8e-10
-def test_solve_vandermonde_residual_invariant(seed, n):
+def random_system(seed, n):
+    """Nodes from ``distinct_b`` and a target with nu_0 = 1 and up to four uniform entries."""
     rng = np.random.default_rng(seed)
     b = distinct_b(n, rng)
     nu = np.zeros(n)
     nu[0] = 1.0
     nu[1 : min(5, n)] = rng.uniform(-1, 1, min(5, n) - 1)
+    return b, nu
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.sampled_from([3, 5, 7, 13]))
+@example(seed=2233, n=13)  # float64 residual 1.86e-9, extended-precision 7.8e-10
+def test_solve_vandermonde_residual_invariant(seed, n):
+    b, nu = random_system(seed, n)
     try:
         C, _ = solve_vandermonde(b, nu)
     except IllConditionedSystemError:
@@ -84,6 +90,79 @@ def test_solve_vandermonde_residual_invariant(seed, n):
     resid = B @ C.astype(np.longdouble) - nu
     assert float(np.max(np.abs(resid))) <= 1e-9 * max(1.0, np.max(np.abs(nu)))
     assert np.sum(C) == pytest.approx(nu[0], abs=1e-10)
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    a=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=14),
+    b=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=14),
+    order=st.integers(0, 13),
+)
+def test_poly_mul_is_the_array_form_bitwise(a, b, order):
+    got = np.array(mpfsim.mpf._poly_mul(a, b, order))
+    assert got.tobytes() == array_poly_mul(np.array(a), np.array(b), order).tobytes()
+
+
+# Accuracy against the correctly rounded weights C*.  Each bound was measured
+# over every system its test can draw (all 40,004 random and 10,000 perturbed
+# default systems; numpy 2.4.6 with OpenBLAS 0.3.31's Haswell kernels) and
+# keeps a margin for other BLAS kernels.
+# Componentwise backward error: at most 1.65e-12 on random nodes (61x below
+# the bound) and 6.2e-10 on perturbed default nodes (16x).
+RANDOM_NODES_BACKWARD_BOUND = 1e-10
+DEFAULT_NODES_BACKWARD_BOUND = 1e-8
+# Forward error max|C - C*| / max|C*|, in units of cond_2(B) eps: at most
+# 0.245 on random nodes (a 3-node system of cond 4; 4x) and 5.1e-4 on
+# perturbed default nodes.
+FORWARD_BOUND = 1.0
+
+
+def assert_near_exact_weights(b, nu, backward_bound):
+    try:
+        C, cond = solve_vandermonde(b, nu)
+    except IllConditionedSystemError:
+        return  # rejection is the documented outcome for bad node sets
+    exact = exact_block_weights(b, nu)
+    assert componentwise_backward_error(b, nu, C) <= backward_bound
+    forward = np.max(np.abs(C - exact)) / np.max(np.abs(exact))
+    assert forward <= FORWARD_BOUND * cond * np.finfo(float).eps
+
+
+def test_exact_block_weights_are_correctly_rounded():
+    assert exact_block_weights([1.0, 2.0], [1.0, 0.0]).tolist() == [2.0, -1.0]
+    assert exact_block_weights([1.0, 2.0, 3.0], [1.0, 0.0, 0.0]).tolist() == [3.0, -3.0, 1.0]
+    # C_1 + C_2 = 1 and C_1 / 2 + 3 C_2 = 1: C = (4/5, 1/5), each rounded once
+    assert exact_block_weights([0.5, 3.0], [1.0, 1.0]).tolist() == [0.8, 0.2]
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.sampled_from([3, 5, 7, 13]))
+def test_exact_block_weights_have_backward_error_below_the_unit_roundoff(seed, n):
+    # rounding the exact solution moves each C_q by at most u |C_q|
+    b, nu = random_system(seed, n)
+    assert componentwise_backward_error(b, nu, exact_block_weights(b, nu)) <= 2.0**-53 * (1 + 2.0**-52)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.sampled_from([3, 5, 7, 13]))
+# row-0 residuals of 5.8e-10, 1.9e-10 and 4.1e-10, each within the bounds
+@example(seed=699, n=13)
+@example(seed=5694, n=13)
+@example(seed=6082, n=13)
+def test_solve_vandermonde_near_exact_weights_on_random_nodes(seed, n):
+    b, nu = random_system(seed, n)
+    assert_near_exact_weights(b, nu, RANDOM_NODES_BACKWARD_BOUND)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 9_999))
+def test_solve_vandermonde_near_exact_weights_on_perturbed_default_nodes(seed):
+    # chi = 2, R = 3: the default node pattern plus U(-0.45, 0.45) per entry,
+    # the target cycling through the four cf and three matching ones
+    rng = np.random.default_rng(seed)
+    b = default_initial_b(2, 3, "cf")[0] + rng.uniform(-0.45, 0.45, 13)
+    targets = [*mpfsim.mpf._closedform_nus(2, 3), *matching_nu(2, 3)]
+    assert_near_exact_weights(b, targets[seed % len(targets)], DEFAULT_NODES_BACKWARD_BOUND)
 
 
 # --- Childs-Wiebe ----------------------------------------------------------

@@ -24,7 +24,15 @@ HAD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
 
 
 def herm_expm(h, theta):
-    """exp(-i theta h) from the term's cached eigendecomposition: the tests' eigenbasis reference."""
+    """exp(-i theta h): a rotation term by the step formula, any other term in its eigenbasis.
+
+    Row i of a rotation term's exponential is cos(theta |v_i|) e_i - i sin(theta |v_i|) (v_i/|v_i|) e_cols_i.
+    """
+    if h.rotation is not None:
+        cols, mag, phase = h.rotation
+        u = np.diag(np.cos(theta * mag)).astype(complex)
+        u[np.arange(h.dim), cols] += -1j * np.sin(theta * mag) * phase
+        return u
     phases = np.exp(-1j * theta * h.eigenvalues)
     return (h.eigenvectors * phases[None, :]) @ h.eigenvectors.conj().T
 
@@ -70,6 +78,33 @@ def test_hermitian_term_rejects_nonhermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
         hermitian_term(bad)
+
+
+def _defect_at(factor):
+    """|+><+| on two qubits with an entrywise Hermiticity defect of factor * HERMITICITY_RTOL * max|A|.
+
+    max|A| = 1/4 is a quarter of the spectral norm, so a spectral-norm-relative
+    check would accept both factors used below.
+    """
+    a = np.full((4, 4), 0.25, dtype=complex)
+    a[0, 1] += factor * mpfsim.operators.HERMITICITY_RTOL * 0.25
+    return a
+
+
+def test_hermiticity_tolerance_is_relative_to_the_largest_entry():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_term(_defect_at(1.01))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        QuantumState.mixed(_defect_at(1.01))
+    assert hermitian_term(_defect_at(0.99)).dim == 4
+    assert QuantumState.mixed(_defect_at(0.99)).dim == 4
+
+
+def test_empty_matrix_is_refused():
+    with pytest.raises(ValueError):
+        hermitian_term(np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="unit trace"):
+        QuantumState.mixed(np.zeros((0, 0)))
 
 
 def test_hermitian_term_leaves_the_callers_array_writable():
