@@ -284,9 +284,9 @@ def cw_coefficients(chi: int, K: int, ells: tuple[int, ...] | None = None) -> Ch
 def _poly_mul(a: list[float], b: list[float], order: int) -> list[float]:
     """Truncated product over Python floats.
 
-    Each coefficient sums a_i b_j in increasing i, the order of the row-wise
-    numpy loop this replaces, so results are bitwise equal to it;
-    ``np.convolve`` sums in another order.
+    Coefficient k sums a_i b_(k-i) in increasing i.  The matching targets
+    depend on that order: ``np.convolve`` sums in another and moves them by
+    up to 3.6e-14.
     """
     out = [0.0] * (order + 1)
     for i, ai in enumerate(a[: order + 1]):
