@@ -3,13 +3,21 @@
 The content of every ``git ls-files`` path is hashed when the session starts
 and again when it ends; any file that changed, appeared or vanished fails the
 session and is named in the summary.  Outside a git checkout the guard is off.
+
+The suite runs one BLAS thread unless the caller sets ``OPENBLAS_NUM_THREADS``:
+its batched products are small, and with more threads than idle cores a
+test slows several-fold beside any other CPU-bound process.  The setting
+takes effect because numpy is not yet imported when this file loads.
 """
 
 import hashlib
+import os
 import subprocess
 from pathlib import Path
 
 import pytest
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 ROOT = Path(__file__).resolve().parent
 _BEFORE = pytest.StashKey[dict]()

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import Method, bound_for, depth_report, resolution_shots, ts_bound
 from .ensembles import materialize
-from .mpf import IllConditionedSystemError, MatchingSolveError, MPFSpec, cw_coefficients, mpf_ensemble
+from .mpf import IllConditionedSystemError, MatchingSolveError, MPFSpec, cw_coefficients, mpf_ensemble, spec_from_b
 from .models import MODEL_NAMES, build_model
 from .operators import (
     QuantumState,
@@ -31,12 +31,11 @@ from .operators import (
     observable,
     pauli_string,
 )
-from .optimize import OptimizerConfig, default_initial_b, optimize_mpf, spec_from_b
+from .optimize import OptimizerConfig, default_initial_b, optimize_mpf
 from .sampling import expected_value, run_estimator
 from .serialize import (
     format_float,
     load_mpf_spec,
-    node_blocks,
     read_experiment_config,
     save_mpf_spec,
     save_optim_result,
@@ -198,7 +197,7 @@ def _print_spec(spec: MPFSpec) -> None:
         print(f"Xi = {format_float(spec.resolution)}")
         return
     print(f"kind = {spec.kind}  chi = {spec.chi}  R = {spec.R}")
-    for i, blk in node_blocks(spec):
+    for i, blk in enumerate(spec.blocks, spec.first_block):
         print(f"block {i}: cond = {blk.cond:.3e}  |C|_1 = {format_float(blk.one_norm)}")
         print(f"  b  = {np.array2string(blk.b, precision=10)}")
         print(f"  nu = {np.array2string(blk.nu, precision=10)}")
@@ -288,7 +287,7 @@ def cmd_sample(args) -> int:
     ens = mpf_ensemble(spec, H.L)
     mat = materialize(ens, H, t)
     plan = resolution_shots(mat.resolution, args.epsilon, args.delta)
-    estimate, state = run_estimator(mat, rho, O, plan.N, args.seed)
+    estimate, _ = run_estimator(mat, rho, O, plan.N, args.seed)
     reference = expectation(O, rho, exact_evolution(H, t))
     print(f"tau = {format_float(args.tau)}  t = {format_float(t)}  N = {plan.N}  Xi = {format_float(mat.resolution)}")
     print(f"estimate  = {format_float(estimate)}")

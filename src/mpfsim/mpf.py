@@ -13,6 +13,12 @@ block r-1 times followed by correction block r.  Everything downstream
 (operators, scalar series, the bound's zeta, sampling ensembles) is one walk
 over that form, so a new family only needs a constructor.
 
+The node kinds (matching and closed-form, ``NODE_KINDS``) hold their blocks
+in one ``blocks`` tuple in spec-file order: block i is the ``b<i>`` of a
+spec file, numbered from the class's ``first_block`` (matching 1..R, the
+closed-form shift block 0 then 1..R).  This module alone counts and numbers
+node blocks; :func:`spec_from_b` builds either kind from its node vectors.
+
 Block weights ``C`` come from Vandermonde systems in the node vector ``b``;
 the resolution factor (sum over branches of the product of layer 1-norms) is
 the sampling overhead each combination incurs.
@@ -40,12 +46,14 @@ __all__ = [
     "MatchingMPF",
     "ClosedFormMPF",
     "MPFSpec",
+    "NODE_KINDS",
     "solve_vandermonde",
     "cw_coefficients",
     "matching_nu",
     "build_lblock",
     "build_matching",
     "build_closedform",
+    "spec_from_b",
     "mpf_matrix",
     "mpf_matrices",
     "branch_series",
@@ -224,11 +232,14 @@ class ChildsWiebe:
 
 @dataclass(frozen=True)
 class MatchingMPF:
+    """``blocks`` are b1..bR, the R layers of the one branch."""
+
     chi: int
     R: int
     blocks: tuple[LBlock, ...]
     resolution: float
     kind: ClassVar[str] = "matching"
+    first_block: ClassVar[int] = 1
 
     @cached_property
     def branches(self) -> tuple[tuple[LBlock, ...], ...]:
@@ -237,19 +248,23 @@ class MatchingMPF:
 
 @dataclass(frozen=True)
 class ClosedFormMPF:
+    """``blocks`` are b0..bR, the shift block b0 first; branch r is b0 r-1 times, then block r."""
+
     chi: int
     R: int
-    block0: LBlock
     blocks: tuple[LBlock, ...]
     resolution: float
     kind: ClassVar[str] = "cf"
+    first_block: ClassVar[int] = 0
 
     @cached_property
     def branches(self) -> tuple[tuple[LBlock, ...], ...]:
-        return tuple((self.block0,) * r + (blk,) for r, blk in enumerate(self.blocks))
+        shift, *corrections = self.blocks
+        return tuple((shift,) * r + (blk,) for r, blk in enumerate(corrections))
 
 
 MPFSpec = ChildsWiebe | MatchingMPF | ClosedFormMPF
+NODE_KINDS = {cls.kind: cls for cls in (MatchingMPF, ClosedFormMPF)}
 
 
 def cw_coefficients(chi: int, K: int, ells: tuple[int, ...] | None = None) -> ChildsWiebe:
@@ -346,11 +361,11 @@ def _matching_unpack(x: np.ndarray, chi: int, R: int) -> list[np.ndarray]:
 
 
 _MATCHING_TILTS = (1e-2, -1e-2, 5e-2, -5e-2, 0.1, -0.1, 0.3)
+
+
 # (chi, R) is every input of the solve: its budget is the two module constants.
-_matching_cache: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-
-
-def matching_nu(chi: int, R: int) -> list[np.ndarray]:
+@lru_cache(maxsize=None)
+def matching_nu(chi: int, R: int) -> tuple[np.ndarray, ...]:
     """Solve the joint coefficient system of the matching formula.
 
     Newton iteration on truncated formal power series: the product of the R
@@ -360,12 +375,11 @@ def matching_nu(chi: int, R: int) -> list[np.ndarray]:
     block permutation and the Jacobian is exactly singular there; a small
     deterministic per-block tilt breaks the symmetry.  Several tilt
     magnitudes are tried in a fixed order, with step halving on divergence.
+    The R read-only target vectors are solved once per (chi, R); a failed
+    solve raises and is tried again on the next call.
     """
     if chi < 1 or R < 1:
         raise ValueError("need chi >= 1 and R >= 1")
-    key = (chi, R)
-    if key in _matching_cache:
-        return [nu.copy() for nu in _matching_cache[key]]
     m = 2 * chi * R
     for tilt in _MATCHING_TILTS:
         x = np.empty(m)
@@ -400,8 +414,7 @@ def matching_nu(chi: int, R: int) -> list[np.ndarray]:
             nus = _matching_unpack(x, chi, R)
             for nu in nus:
                 nu.setflags(write=False)
-            _matching_cache[key] = tuple(nus)
-            return [nu.copy() for nu in nus]
+            return tuple(nus)
     raise MatchingSolveError(
         f"no real matching solution found for chi={chi}, R={R} within "
         f"{MATCHING_MAX_ITERATIONS} iterations (consider the closed-form kind instead)"
@@ -447,12 +460,20 @@ def build_closedform(chi: int, R: int, b_list) -> ClosedFormMPF:
         raise ValueError("need chi >= 1 and R >= 1")
     if len(b_list) != R + 1:
         raise ValueError(f"closed-form needs {R + 1} node vectors, got {len(b_list)}")
-    block0, *rest = (build_lblock(chi, R, b, nu) for b, nu in zip(b_list, _closedform_nus(chi, R)))
-    blocks = tuple(rest)
-    resolution = float(
-        sum(block0.one_norm ** (r - 1) * blocks[r - 1].one_norm for r in range(1, R + 1))
-    )
-    return ClosedFormMPF(chi=chi, R=R, block0=block0, blocks=blocks, resolution=resolution)
+    # From a list: CPython's tuple() of a generator over-allocates and resizes,
+    # and the freed R+1-tuples fill its free list (+0.3 MB peak on a node search).
+    blocks = tuple([build_lblock(chi, R, b, nu) for b, nu in zip(b_list, _closedform_nus(chi, R))])
+    resolution = float(sum(blocks[0].one_norm ** (r - 1) * blocks[r].one_norm for r in range(1, R + 1)))
+    return ClosedFormMPF(chi=chi, R=R, blocks=blocks, resolution=resolution)
+
+
+def spec_from_b(kind: str, chi: int, R: int, b_list) -> MatchingMPF | ClosedFormMPF:
+    """The ``kind`` formula on node vectors ``b_list``, given in ``b<i>`` order."""
+    if kind == "matching":
+        return build_matching(chi, R, b_list)
+    if kind == "cf":
+        return build_closedform(chi, R, b_list)
+    raise ValueError(f"kind must be 'matching' or 'cf', got {kind!r}")
 
 
 # ---------------------------------------------------------------------------

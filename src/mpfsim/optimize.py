@@ -16,13 +16,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bounds import new_bound, zeta_cf, zeta_matching
-from .mpf import IllConditionedSystemError, build_closedform, build_matching
+from .mpf import NODE_KINDS, IllConditionedSystemError, spec_from_b
 
 __all__ = [
     "OptimizerConfig",
     "OptimResult",
     "default_initial_b",
-    "spec_from_b",
     "loss",
     "nelder_mead",
     "basin_hop",
@@ -97,9 +96,12 @@ def _resolve(config: OptimizerConfig, kind: str, chi: int, R: int) -> OptimizerC
 def default_initial_b(chi: int, R: int, kind: str) -> list[np.ndarray]:
     """Alternating-sign integer nodes (1, -1, 2, -2, ...) per block.
 
-    Matching formulas take R blocks, closed-form R+1 (the shift block first);
-    every block uses the same starting pattern of length 2 chi R + 1.
+    One vector per node block of ``kind`` (``mpf.NODE_KINDS``): matching
+    takes R, closed-form R+1; every block uses the same starting pattern of
+    length 2 chi R + 1.
     """
+    if kind not in NODE_KINDS:
+        raise ValueError(f"kind must be 'matching' or 'cf', got {kind!r}")
     length = 2 * chi * R + 1
     pattern = []
     k = 1
@@ -108,18 +110,7 @@ def default_initial_b(chi: int, R: int, kind: str) -> list[np.ndarray]:
         if len(pattern) < length:
             pattern.append(float(-k))
         k += 1
-    n_blocks = R if kind == "matching" else R + 1
-    if kind not in ("matching", "cf"):
-        raise ValueError(f"kind must be 'matching' or 'cf', got {kind!r}")
-    return [np.array(pattern) for _ in range(n_blocks)]
-
-
-def spec_from_b(kind: str, chi: int, R: int, b_list):
-    if kind == "matching":
-        return build_matching(chi, R, b_list)
-    if kind == "cf":
-        return build_closedform(chi, R, b_list)
-    raise ValueError(f"kind must be 'matching' or 'cf', got {kind!r}")
+    return [np.array(pattern) for _ in range(NODE_KINDS[kind].first_block, R + 1)]
 
 
 def loss(b_list, kind: str, chi: int, R: int, config: OptimizerConfig) -> float:

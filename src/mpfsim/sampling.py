@@ -33,7 +33,6 @@ from .operators import Observable, QuantumState, sandwich
 
 __all__ = [
     "ShotRecord",
-    "EstimatorState",
     "PreparedSampler",
     "prepare_sampler",
     "single_shot",
@@ -52,24 +51,6 @@ class ShotRecord:
     sign_product: int
 
 
-@dataclass
-class EstimatorState:
-    shots: int
-    signed_sum: float
-    resolution: float
-    scale: float
-
-    @property
-    def mean(self) -> float:
-        """Raw sample mean of sign * outcome (normalized observable units)."""
-        return self.signed_sum / self.shots
-
-    @property
-    def estimate(self) -> float:
-        """resolution^2 * scale * mean, the physical expectation estimate."""
-        return self.resolution**2 * self.scale * self.mean
-
-
 @dataclass(frozen=True)
 class _PreparedBranch:
     combo_cum: list[float]
@@ -82,8 +63,6 @@ class PreparedSampler:
     branch_cum: list[float]
     branches: tuple[_PreparedBranch, ...]
     eigenvalues: np.ndarray
-    resolution: float
-    scale: float
 
 
 def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable) -> PreparedSampler:
@@ -115,8 +94,6 @@ def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable)
         branch_cum=np.cumsum([br.probability for br in mat.branches]).tolist(),
         branches=tuple(branches),
         eigenvalues=O.eigenvalues.copy(),
-        resolution=mat.resolution,
-        scale=O.scale,
     )
 
 
@@ -192,15 +169,16 @@ def run_estimator(
     N: int,
     seed: int,
     stream: int = 0,
-) -> tuple[float, EstimatorState]:
-    """N independent shots; returns (estimate, state).
+) -> tuple[float, float]:
+    """N independent shots; returns (estimate, mean).
 
-    The estimate is resolution^2 * scale * mean(sign * outcome), which
-    converges to tr(O_original M rho M†) for the operator M the ensemble
-    realizes on average.
+    ``mean`` is the sample mean of sign * outcome over the N shots
+    (normalized observable units).  The estimate is
+    ``mat.resolution**2 * O.scale * mean``, which converges to
+    tr(O_original M rho M†) for the operator M the ensemble realizes on
+    average.
     """
     if N < 1:
         raise ValueError("N must be >= 1")
-    total = _signed_sum(prepare_sampler(mat, rho, O), N, seed, stream)
-    state = EstimatorState(shots=N, signed_sum=total, resolution=mat.resolution, scale=O.scale)
-    return state.estimate, state
+    mean = _signed_sum(prepare_sampler(mat, rho, O), N, seed, stream) / N
+    return mat.resolution**2 * O.scale * mean, mean

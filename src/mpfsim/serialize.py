@@ -4,23 +4,27 @@ The formats are flat ``key = value`` lines (vectors space-separated,
 17 significant digits) so files diff cleanly and need no external config
 language.  Loading a spec file re-solves the weight systems from the stored
 node vectors and cross-checks every stored value against the rebuilt spec,
-so stale or hand-edited files fail loudly.
+so stale or hand-edited files fail loudly.  A matching or closed-form file
+holds one ``b<i>``, ``c<i>``, ``nu<i>`` triple per node block, numbered as
+:mod:`mpfsim.mpf` numbers them (``NODE_KINDS``).
 """
 
 from __future__ import annotations
 
 import configparser
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .mpf import LBlock, MPFSpec, cw_coefficients
-from .optimize import OptimResult, spec_from_b
+from .mpf import NODE_KINDS, MPFSpec, cw_coefficients, spec_from_b
+
+if TYPE_CHECKING:
+    from .optimize import OptimResult
 
 __all__ = [
     "format_float",
     "format_vector",
-    "node_blocks",
     "save_mpf_spec",
     "load_mpf_spec",
     "save_optim_result",
@@ -51,17 +55,6 @@ def _parse_kv(text: str) -> dict[str, str]:
     return out
 
 
-def _first_block(kind: str) -> int:
-    """Number of a formula's first node block: the closed-form shift block is 0, matching starts at 1."""
-    return 0 if kind == "cf" else 1
-
-
-def node_blocks(spec: MPFSpec) -> list[tuple[int, LBlock]]:
-    """The node blocks of a matching or closed-form spec, each with its number ``i`` of ``b<i>``."""
-    blocks = (spec.block0, *spec.blocks) if spec.kind == "cf" else spec.blocks
-    return list(enumerate(blocks, _first_block(spec.kind)))
-
-
 def _spec_lines(spec: MPFSpec) -> list[str]:
     if spec.kind == "cw":
         return [
@@ -78,7 +71,7 @@ def _spec_lines(spec: MPFSpec) -> list[str]:
         f"R = {spec.R}",
         f"xi = {format_float(spec.resolution)}",
     ]
-    for idx, blk in node_blocks(spec):
+    for idx, blk in enumerate(spec.blocks, spec.first_block):
         lines.append(f"b{idx} = {format_vector(blk.b)}")
         lines.append(f"c{idx} = {format_vector(blk.C)}")
         lines.append(f"nu{idx} = {format_vector(blk.nu)}")
@@ -101,9 +94,10 @@ def load_mpf_spec(path: str | Path) -> MPFSpec:
         if kind == "cw":
             ells = tuple(int(x) for x in kv["ells"].split())
             spec = cw_coefficients(chi, int(kv["K"]), ells)
-        elif kind in ("matching", "cf"):
+        elif kind in NODE_KINDS:
             R = int(kv["R"])
-            spec = spec_from_b(kind, chi, R, [_vector(kv[f"b{i}"]) for i in range(_first_block(kind), R + 1)])
+            b_list = [_vector(kv[f"b{i}"]) for i in range(NODE_KINDS[kind].first_block, R + 1)]
+            spec = spec_from_b(kind, chi, R, b_list)
         else:
             raise ValueError(f"unknown spec kind {kind!r}")
         # Every value the writer writes must agree with the rebuilt spec's.
@@ -137,7 +131,7 @@ def save_optim_result(result: OptimResult, path: str | Path) -> None:
         f"loss_value = {format_float(result.loss_value)}",
         f"history = {format_vector(result.history)}",
     ]
-    for i, b in enumerate(result.b_list, _first_block(result.kind)):
+    for i, b in enumerate(result.b_list, NODE_KINDS[result.kind].first_block):
         lines.append(f"b{i} = {format_vector(b)}")
     Path(path).write_text("\n".join(lines) + "\n")
 

@@ -54,7 +54,7 @@ def brute_zeta_cf(spec):
     n = 2 * spec.chi * spec.R + 1
     total = 0.0
     for r in range(1, spec.R + 1):
-        blocks = [spec.block0] * (r - 1) + [spec.blocks[r - 1]]
+        blocks = [spec.blocks[0]] * (r - 1) + [spec.blocks[r]]
         for combo in itertools.product(*[range(len(blk.C)) for blk in blocks]):
             w, s = 1.0, 0.0
             for blk, q in zip(blocks, combo):
@@ -144,9 +144,8 @@ def test_zeta_matching_matches_brute_force(seed):
 @given(seed=st.integers(0, 2000))
 def test_zeta_cf_matches_brute_force(seed):
     rng = np.random.default_rng(seed)
-    block0 = hand_block(distinct_b(5, rng), rng.uniform(-1, 1, 5))
-    blocks = tuple(hand_block(distinct_b(5, rng), rng.uniform(-1, 1, 5)) for _ in range(2))
-    spec = ClosedFormMPF(chi=1, R=2, block0=block0, blocks=blocks, resolution=1.0)
+    blocks = tuple(hand_block(distinct_b(5, rng), rng.uniform(-1, 1, 5)) for _ in range(3))
+    spec = ClosedFormMPF(chi=1, R=2, blocks=blocks, resolution=1.0)
     assert zeta_cf(spec) == pytest.approx(brute_zeta_cf(spec), rel=1e-12)
 
 
@@ -260,7 +259,7 @@ def test_zeta_keeps_its_floating_point_order(kind, chi, R):
             blocks = tuple(hand_block(distinct_b(m, rng), rng.normal(size=m)) for _ in range(R))
             specs.append(MatchingMPF(chi=chi, R=R, blocks=blocks, resolution=1.0))
         else:
-            block0, *blocks = (hand_block(distinct_b(m, rng), rng.normal(size=m)) for _ in range(R + 1))
-            specs.append(ClosedFormMPF(chi=chi, R=R, block0=block0, blocks=tuple(blocks), resolution=1.0))
+            blocks = tuple(hand_block(distinct_b(m, rng), rng.normal(size=m)) for _ in range(R + 1))
+            specs.append(ClosedFormMPF(chi=chi, R=R, blocks=blocks, resolution=1.0))
     for spec in specs:
         assert zeta(spec) == _zeta_reference(spec)

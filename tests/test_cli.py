@@ -10,7 +10,7 @@ import pytest
 import mpfsim
 import mpfsim.mpf
 from mpfsim.cli import main
-from mpfsim.serialize import load_mpf_spec
+from mpfsim.serialize import format_vector, load_mpf_spec
 
 
 def run(capsys, *argv):
@@ -41,12 +41,18 @@ def test_coeffs_matching_prints_blocks(capsys):
 
 @pytest.mark.parametrize("kind, first", [("matching", 1), ("cf", 0)])
 def test_coeffs_block_labels_are_the_spec_file_numbers(capsys, tmp_path, kind, first):
-    numbers = [str(i) for i in range(first, 3)]
-    spec_file = tmp_path / f"{kind}.mpf"
-    code, out, _ = run(capsys, "coeffs", "--kind", kind, "--chi", "1", "--R", "2", "--out", str(spec_file))
-    assert code == 0
-    assert re.findall(r"^block (\d+):", out, re.M) == numbers
-    assert re.findall(r"^b(\d+) =", spec_file.read_text(), re.M) == numbers
+    # at R = 1 a cf formula still writes and reads its shift block b0, which enters no branch
+    for R in (1, 2):
+        numbers = [str(i) for i in range(first, R + 1)]
+        spec_file = tmp_path / f"{kind}-{R}.mpf"
+        code, out, _ = run(capsys, "coeffs", "--kind", kind, "--chi", "1", "--R", str(R), "--out", str(spec_file))
+        assert code == 0
+        assert re.findall(r"^block (\d+):", out, re.M) == numbers
+        text = spec_file.read_text()
+        assert re.findall(r"^b(\d+) =", text, re.M) == numbers
+        stored = dict(line.split(" = ", 1) for line in text.splitlines())
+        loaded = [(format_vector(blk.b), format_vector(blk.C), format_vector(blk.nu)) for blk in load_mpf_spec(spec_file).blocks]
+        assert loaded == [(stored[f"b{i}"], stored[f"c{i}"], stored[f"nu{i}"]) for i in numbers]
 
 
 def test_coeffs_b_file(capsys, tmp_path):
@@ -64,7 +70,7 @@ def test_coeffs_b_file(capsys, tmp_path):
 def test_matching_solve_failure_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(mpfsim.mpf, "MATCHING_MAX_ITERATIONS", 1)
     monkeypatch.setattr(mpfsim.mpf, "MATCHING_RESIDUAL_TARGET", 1e-300)
-    monkeypatch.setattr(mpfsim.mpf, "_matching_cache", {})
+    mpfsim.mpf.matching_nu.cache_clear()
     code, _, err = run(capsys, "coeffs", "--kind", "matching", "--chi", "1", "--R", "4")
     assert code == 3
     assert "hint: the closed-form kind (--kind cf) always has coefficients" in err

@@ -234,9 +234,23 @@ def test_matching_nu_product_matches_exponential(chi, R):
 def test_matching_nu_budget_failure_raises(monkeypatch):
     monkeypatch.setattr(mpfsim.mpf, "MATCHING_MAX_ITERATIONS", 1)
     monkeypatch.setattr(mpfsim.mpf, "MATCHING_RESIDUAL_TARGET", 1e-300)
-    monkeypatch.setattr(mpfsim.mpf, "_matching_cache", {})
+    matching_nu.cache_clear()
     with pytest.raises(MatchingSolveError):
         matching_nu(1, 4)
+
+
+def test_matching_nu_is_solved_once_and_a_failure_is_not_kept(monkeypatch):
+    matching_nu.cache_clear()
+    with monkeypatch.context() as m:
+        m.setattr(mpfsim.mpf, "MATCHING_MAX_ITERATIONS", 1)
+        m.setattr(mpfsim.mpf, "MATCHING_RESIDUAL_TARGET", 1e-300)
+        with pytest.raises(MatchingSolveError):
+            matching_nu(2, 3)
+    nus = matching_nu(2, 3)
+    assert matching_nu(2, 3) is nus
+    assert not any(nu.flags.writeable for nu in nus)
+    fresh = matching_nu.__wrapped__(2, 3)
+    assert [nu.tobytes() for nu in nus] == [nu.tobytes() for nu in fresh]
 
 
 # --- closed-form nu --------------------------------------------------------
@@ -312,12 +326,12 @@ def test_block_series_is_computed_once_and_equals_a_fresh_expansion():
     rng = np.random.default_rng(11)
     spec = build_closedform(1, 2, [distinct_b(5, rng) for _ in range(3)])
     first = branch_series(spec.branches[1], 5, magnitudes=True)
-    kept = spec.block0.series(5, True)
-    assert spec.block0.series(5, True) is kept and not kept.flags.writeable
+    kept = spec.blocks[0].series(5, True)
+    assert spec.blocks[0].series(5, True) is kept and not kept.flags.writeable
     inv_k = 1.0 / np.arange(1, 6)
     terms = np.ones((5, 6))
-    terms[:, 1:] = np.cumprod(np.abs(spec.block0.b)[:, None] * inv_k, axis=1)
-    assert np.array_equal(kept, np.abs(spec.block0.C) @ terms)
+    terms[:, 1:] = np.cumprod(np.abs(spec.blocks[0].b)[:, None] * inv_k, axis=1)
+    assert np.array_equal(kept, np.abs(spec.blocks[0].C) @ terms)
     assert np.array_equal(branch_series(spec.branches[1], 5, magnitudes=True), first)
 
 
@@ -511,7 +525,7 @@ def test_branch_shapes_per_kind():
     assert [len(br) for br in spec_of_kind("matching", rng).branches] == [2]
     cf = spec_of_kind("cf", rng)
     assert [len(br) for br in cf.branches] == [1, 2]
-    assert cf.branches[1][0] is cf.block0
+    assert cf.branches[1][0] is cf.blocks[0]
 
 
 @pytest.mark.parametrize("kind", ["cw", "matching", "cf"])

@@ -153,7 +153,7 @@ def test_optimize_mpf_raises_a_failed_matching_solve_from_its_first_loss(monkeyp
     # the failure is raised, not scored +inf, so the search never starts
     monkeypatch.setattr(mpfsim.mpf, "MATCHING_MAX_ITERATIONS", 1)
     monkeypatch.setattr(mpfsim.mpf, "MATCHING_RESIDUAL_TARGET", 1e-300)
-    monkeypatch.setattr(mpfsim.mpf, "_matching_cache", {})
+    mpfsim.mpf.matching_nu.cache_clear()
     calls = []
     original = mpfsim.optimize.loss
     monkeypatch.setattr(mpfsim.optimize, "loss", lambda *args: calls.append(args) or original(*args))

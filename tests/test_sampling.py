@@ -138,10 +138,10 @@ def test_expected_value_linear_in_observable(cw_setup):
 
 def test_run_estimator_seeded_repeatability(cw_setup):
     _, _, mat, O, rho = cw_setup
-    e1, s1 = run_estimator(mat, rho, O, 500, seed=9)
-    e2, s2 = run_estimator(mat, rho, O, 500, seed=9)
+    e1, m1 = run_estimator(mat, rho, O, 500, seed=9)
+    e2, m2 = run_estimator(mat, rho, O, 500, seed=9)
     e3, _ = run_estimator(mat, rho, O, 500, seed=10)
-    assert e1 == e2 and s1.signed_sum == s2.signed_sum
+    assert e1 == e2 and m1 == m2
     assert e1 != e3
 
 
@@ -194,7 +194,7 @@ def test_coverage_is_fraction_of_estimator_streams_within_epsilon(cw_setup):
     eps, delta, trials, seed = 0.3, 0.9, 50, 3
     n = hoeffding_shots(eps, delta).N
     target = expected_value(mat, rho, O)
-    means = [run_estimator(mat, rho, O, n, seed, stream=s)[1].mean for s in range(trials)]
+    means = [run_estimator(mat, rho, O, n, seed, stream=s)[1] for s in range(trials)]
     expected = sum(abs(m - target) <= eps for m in means) / trials
     assert 0.0 < expected < 1.0
     assert coverage_experiment(mat, rho, O, eps, delta, trials, seed) == expected
@@ -364,8 +364,9 @@ def test_run_estimator_signed_sum_matches_reference_loop(kind):
     for j in range(500):
         rec = reference_shot(sampler, shot_rng(29, 1, j))
         total += rec.sign_product * rec.outcome
-    _, state = run_estimator(mat, rho, O, 500, 29, stream=1)
-    assert state.signed_sum == total
+    estimate, mean = run_estimator(mat, rho, O, 500, 29, stream=1)
+    assert mean == total / 500
+    assert estimate == mat.resolution**2 * O.scale * mean
 
 
 @pytest.mark.parametrize("state", ["pure", "mixed"])

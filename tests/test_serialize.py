@@ -47,7 +47,7 @@ def test_closedform_roundtrip(tmp_path):
     path = tmp_path / "cf.mpf"
     save_mpf_spec(spec, path)
     loaded = load_mpf_spec(path)
-    assert np.allclose(loaded.block0.b, spec.block0.b)
+    assert np.allclose(loaded.blocks[0].b, spec.blocks[0].b)
     assert loaded.resolution == pytest.approx(spec.resolution, abs=1e-12)
 
 
