@@ -20,7 +20,15 @@ import numpy as np
 
 from .bounds import Method, bound_for, depth_report, resolution_shots, ts_bound
 from .ensembles import materialize
-from .mpf import IllConditionedSystemError, MatchingSolveError, MPFSpec, cw_coefficients, mpf_ensemble, spec_from_b
+from .mpf import (
+    IllConditionedSystemError,
+    MatchingSolveError,
+    MPFSpec,
+    cw_coefficients,
+    mpf_ensemble,
+    scale_sizes,
+    spec_from_b,
+)
 from .models import MODEL_NAMES, build_model
 from .operators import (
     QuantumState,
@@ -40,7 +48,7 @@ from .serialize import (
     save_mpf_spec,
     save_optim_result,
 )
-from .sweep import DISTANCE_NOISE_FLOOR, SuzukiGridCache, distance_curve, fit_order_slope
+from .sweep import DISTANCE_NOISE_FLOOR, SuzukiGridCache, distance_curve, fit_order_slope, ts_formula
 
 METHOD_ORDER = (Method.TROTTER_SUZUKI, Method.CHILDS_WIEBE, Method.MATCHING, Method.CLOSED_FORM)
 BOUNDS_DEPTH_TERMS = 8  # term count L for the merged depth that `bounds` reports; it builds no model
@@ -245,10 +253,12 @@ def cmd_distance(args) -> int:
     specs = _specs_for(args, methods)
     lam = lambda_norm(H)
     cache = SuzukiGridCache(H, args.chi, taus / lam)
+    reads = [scale_sizes(specs[m] if m in specs else ts_formula(args.chi, args.reps)) for m in methods]
     rows = []
     dist_series = {}
     violations = 0
-    for method in methods:
+    for i, method in enumerate(methods):
+        cache.keep_only(frozenset().union(*reads[i:]))  # a size lives until its last reader
         dists, bvals = distance_curve(
             H, method, taus, args.chi, args.reps, specs.get(method), cache
         )

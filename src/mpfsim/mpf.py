@@ -55,6 +55,7 @@ __all__ = [
     "build_closedform",
     "spec_from_b",
     "mpf_matrix",
+    "scale_sizes",
     "mpf_matrices",
     "branch_series",
     "scalar_series",
@@ -485,13 +486,30 @@ def mpf_matrix(spec: MPFSpec, H: HamiltonianSpec, t: float) -> np.ndarray:
     return mpf_matrices(spec, H, np.array([t]))[0]
 
 
+def scale_sizes(spec: MPFSpec) -> frozenset[float]:
+    """The distinct |b| of the formula's entries: the S(|b| t) its operator reads."""
+    return frozenset(abs(float(b)) for branch in spec.branches for layer in branch for b in layer.b)
+
+
 def mpf_matrices(spec: MPFSpec, H: HamiltonianSpec, ts: np.ndarray, cache=None) -> np.ndarray:
     """Batched :func:`mpf_matrix` over a time grid, shape (B, d, d).
 
-    ``cache`` maps a time scale b to the schedule matrices S(b t) over the
+    ``cache`` maps a size |b| to the schedule matrices S(|b| t) over the
     grid; pass a shared :class:`~mpfsim.sweep.SuzukiGridCache` so formulas on
     one grid reuse each other's schedule builds.  A cache built for another
     Hamiltonian, order or grid raises ``ValueError``.
+
+    Every size of :func:`scale_sizes` is looked up before anything is
+    combined, so the temporaries of the schedule builds are gone before the
+    combination's buffers exist.  The combination holds four (B, d, d)
+    arrays: the result, the branch product, the layer operator and one
+    scratch.  A term C_q S(b_q t)^power_q is written into scratch and added
+    to the layer; a node b < 0 reads S(b t) = S(|b| t)^dagger, conjugated
+    into scratch through a transposed view, so no adjoint is kept.  A layer
+    product is written into scratch, which then trades names with the
+    branch product.  An entry to a power above 1 (Childs-Wiebe) is
+    multiplied out as ``acc @ base`` through scratch and one temporary.
+    The result is bitwise the one a fresh array per term and product gives.
     """
     if cache is None:
         from .sweep import SuzukiGridCache  # sweep imports this module
@@ -499,19 +517,32 @@ def mpf_matrices(spec: MPFSpec, H: HamiltonianSpec, ts: np.ndarray, cache=None) 
         cache = SuzukiGridCache(H, spec.chi, ts)
     elif cache.H is not H or cache.chi != spec.chi or not np.array_equal(cache.ts, ts):
         raise ValueError("the schedule cache was built for another Hamiltonian, order or time grid")
-    out = None
+    entries = {size: cache(size) for size in scale_sizes(spec)}
+    shape = (len(cache.ts), H.dim, H.dim)
+    scratch = np.empty(shape, dtype=complex)
+    out = prod = op = None
     for branch in spec.branches:
-        prod = None
-        for layer in branch:
-            op = np.zeros((len(cache.ts), H.dim, H.dim), dtype=complex)
+        for i, layer in enumerate(branch):
+            if op is None:
+                op = np.empty(shape, dtype=complex)
+            op.fill(0)
             for cq, bq, power in zip(layer.C, layer.b, layer.power):
-                base = cache(float(bq))
+                entry = entries[abs(float(bq))]
+                base = entry if bq >= 0 else np.conjugate(entry.transpose(0, 2, 1), out=scratch)
                 acc = base
-                for _ in range(power - 1):
-                    acc = acc @ base
-                op += cq * acc
-            prod = op if prod is None else prod @ op
-        out = prod if out is None else out + prod
+                for _ in range(power - 1):  # products alternate between scratch and a temporary
+                    acc = np.matmul(acc, base, out=None if acc is scratch or base is scratch else scratch)
+                np.multiply(cq, acc, out=scratch)
+                op += scratch
+            if i == 0:
+                prod, op = op, prod
+            else:
+                np.matmul(prod, op, out=scratch)
+                prod, scratch = scratch, prod
+        if out is None:
+            out, prod = prod, None
+        else:
+            out += prod
     return out
 
 

@@ -6,11 +6,14 @@ scales 1/r, the Childs-Wiebe nodes 1/l and every block node b share the
 cache) and one exact evolution per grid, and fits order-scaling slopes in an
 adaptive window above the double-precision noise floor.
 
-The cache builds S_2chi(|b| t) by Suzuki's five-fold recursion
-(:func:`~mpfsim.schedules.suzuki_recursion`, which
+The cache answers sizes |b| only.  It builds S_2chi(|b| t) by Suzuki's
+five-fold recursion (:func:`~mpfsim.schedules.suzuki_recursion`, which
 :func:`~mpfsim.ensembles.materialize` runs at one time point) from batched
-S_2 builds, and returns S(-|b| t) = S(|b| t)^dagger for a negative node: every
-Suzuki formula is palindromic.  Only the |b| entries are stored.
+S_2 builds; a negative node reads S(-|b| t) = S(|b| t)^dagger, which
+:func:`~mpfsim.mpf.mpf_matrices` forms in its scratch buffer (every Suzuki
+formula is palindromic).  An entry lives until its last reader: the
+``distance`` command drops, before each method, every size that neither it
+nor a later method reads.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Method, bound_for, ts_bound
-from .mpf import MPFSpec, cw_coefficients
+from .mpf import ChildsWiebe, MPFSpec, cw_coefficients
 from .mpf import mpf_matrices as method_matrices
 from .operators import HamiltonianSpec, exact_evolutions, lambda_norm
 from .schedules import merge_adjacent, s2_schedule, schedule_matrices, suzuki_recursion
@@ -29,6 +32,7 @@ from .schedules import merge_adjacent, s2_schedule, schedule_matrices, suzuki_re
 __all__ = [
     "SuzukiGridCache",
     "method_matrices",
+    "ts_formula",
     "ts_matrices",
     "distance_curve",
     "SlopeFit",
@@ -58,12 +62,12 @@ SLOPE_MIN_SPAN_DECADES = 0.5
 class SuzukiGridCache:
     """Batched order-2chi Suzuki evaluations S(b t) over a fixed time grid.
 
-    S_2chi(|b| t) is built on the first lookup of |b| by
+    A lookup takes a size |b| >= 0 and refuses a negative scale: S(b t) for
+    b < 0 is the conjugate transpose of the |b| entry, which the caller
+    forms.  S_2chi(|b| t) is built on the first lookup of |b| by
     :func:`~mpfsim.schedules.suzuki_recursion` from batched S_2 builds:
-    2^(chi-1) of them per |b|, each 2L-1 merged steps long.  A lookup of
-    b < 0 returns the conjugate transpose of the |b| entry, which equals
-    S(b t) because the formula is palindromic; it is computed on each such
-    lookup and not stored, so ``_cache`` holds only the |b| entries.
+    2^(chi-1) of them per |b|, each 2L-1 merged steps long.  ``_cache``
+    holds the entries by size until :meth:`keep_only` drops them.
     """
 
     def __init__(self, H: HamiltonianSpec, chi: int, ts: np.ndarray):
@@ -81,20 +85,30 @@ class SuzukiGridCache:
             self._exact = exact_evolutions(self.H, self.ts)
         return self._exact
 
-    def __call__(self, scale: float) -> np.ndarray:
-        key = float(scale)
-        size = abs(key)
+    def __call__(self, size: float) -> np.ndarray:
+        size = float(size)
+        if not size >= 0:
+            raise ValueError(f"the schedule cache takes a size |b| >= 0, not {size}")
         if size not in self._cache:
             s2 = merge_adjacent(s2_schedule(self.H.L))
             self._cache[size] = suzuki_recursion(self.chi, size, lambda y: schedule_matrices(s2, self.H, y * self.ts))
-        entry = self._cache[size]
-        return entry if key >= 0 else entry.conj().transpose(0, 2, 1)
+        return self._cache[size]
+
+    def keep_only(self, sizes) -> None:
+        """Drop every entry whose size is not in ``sizes``."""
+        for size in self._cache.keys() - set(sizes):
+            del self._cache[size]
+
+
+def ts_formula(chi: int, r: int) -> ChildsWiebe:
+    """Repeated Trotter-Suzuki S_2chi(t/r)^r as a formula: the one-entry
+    Childs-Wiebe formula ells = (r,), whose weight solves to exactly 1."""
+    return cw_coefficients(chi, 0, (r,))
 
 
 def ts_matrices(H: HamiltonianSpec, chi: int, r: int, ts: np.ndarray, cache: SuzukiGridCache | None = None) -> np.ndarray:
-    """Repeated Trotter-Suzuki approximant S_2chi(t/r)^r over the grid: the
-    one-entry Childs-Wiebe formula ells = (r,), whose weight solves to exactly 1."""
-    return method_matrices(cw_coefficients(chi, 0, (r,)), H, ts, cache)
+    """Repeated Trotter-Suzuki approximant S_2chi(t/r)^r over the grid: the operator of :func:`ts_formula`."""
+    return method_matrices(ts_formula(chi, r), H, ts, cache)
 
 
 def distance_curve(
@@ -106,7 +120,10 @@ def distance_curve(
     spec: MPFSpec | None = None,
     cache: SuzukiGridCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(distances, bounds) of one method over a tau = Lambda * t grid."""
+    """(distances, bounds) of one method over a tau = Lambda * t grid.
+
+    exact - approx is formed in the approximant's own array.
+    """
     taus = np.asarray(taus, dtype=float)
     lam = lambda_norm(H)
     ts = taus / lam
@@ -120,7 +137,8 @@ def distance_curve(
             raise ValueError(f"method {method} requires a built MPF spec")
         approx = method_matrices(spec, H, ts, cache)
         bounds = np.array([bound_for(spec, lam, t) for t in ts])
-    return np.linalg.norm(exact - approx, 2, axis=(1, 2)), bounds
+    np.subtract(exact, approx, out=approx)
+    return np.linalg.norm(approx, 2, axis=(1, 2)), bounds
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from mpfsim.bounds import hoeffding_shots
 from mpfsim.operators import sandwich, spectral_norm
 from mpfsim.sampling import ShotRecord, expected_value, prepare_sampler, shot_rng, single_shot
 from mpfsim.schedules import ExponentSchedule
+from mpfsim.sweep import SuzukiGridCache
 
 
 def s1_schedule(L):
@@ -16,6 +17,35 @@ def s1_schedule(L):
     if L < 1:
         raise ValueError("L must be >= 1")
     return ExponentSchedule(tuple((k, 1.0) for k in range(L)), L=L)
+
+
+def reference_mpf_matrices(spec, H, ts, cache=None):
+    """sum_branches prod_layers sum_q C_q S(b_q t)^power_q with a fresh array per term and product.
+
+    The combination loop ``mpfsim.mpf.mpf_matrices`` ran before it combined
+    in fixed buffers, with its lookups made in the loop; a node b < 0 reads
+    the conjugate transpose of the |b| entry, as the cache once did.  The
+    two must give the same bits.
+    """
+    if cache is None:
+        cache = SuzukiGridCache(H, spec.chi, ts)
+    elif cache.H is not H or cache.chi != spec.chi or not np.array_equal(cache.ts, ts):
+        raise ValueError("the schedule cache was built for another Hamiltonian, order or time grid")
+    out = None
+    for branch in spec.branches:
+        prod = None
+        for layer in branch:
+            op = np.zeros((len(cache.ts), H.dim, H.dim), dtype=complex)
+            for cq, bq, power in zip(layer.C, layer.b, layer.power):
+                entry = cache(abs(float(bq)))
+                base = entry if bq >= 0 else entry.conj().transpose(0, 2, 1)
+                acc = base
+                for _ in range(power - 1):
+                    acc = acc @ base
+                op += cq * acc
+            prod = op if prod is None else prod @ op
+        out = prod if out is None else out + prod
+    return out
 
 
 def lemma_closeness_check(U, V, Xi, O, rho):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,16 +20,25 @@ from mpfsim.mpf import (
     cw_coefficients,
     matching_nu,
     mpf_ensemble,
+    mpf_matrices,
     mpf_matrix,
     scalar_series,
+    scale_sizes,
     solve_vandermonde,
 )
+from mpfsim.models import free_fermion, heisenberg
 from mpfsim.operators import QuantumState, hamiltonian, observable, pauli_string, spectral_distance
 from mpfsim.optimize import default_initial_b, spec_from_b
 from mpfsim.sampling import expected_value
 from mpfsim.schedules import merge_adjacent, s2_schedule, schedule_matrix, suzuki_schedule
 from mpfsim.sweep import SuzukiGridCache
-from references import array_poly_mul, componentwise_backward_error, enumerate_combos, exact_block_weights
+from references import (
+    array_poly_mul,
+    componentwise_backward_error,
+    enumerate_combos,
+    exact_block_weights,
+    reference_mpf_matrices,
+)
 
 
 @pytest.fixture(scope="module")
@@ -544,7 +554,8 @@ def test_ensemble_has_one_branch_per_formula_branch(toy, kind):
             assert np.array_equal(signs, np.sign(layer.C))
             assert len(mats) == len(layer.C)
             for b, power, m in zip(layer.b, layer.power, mats):
-                step = cache(b)[0]
+                entry = cache(abs(b))[0]
+                step = entry if b >= 0 else entry.conj().T
                 if power == 1:  # every cf and matching entry
                     assert np.array_equal(m, step)
                 else:  # a Childs-Wiebe entry S(t/l)^l
@@ -592,10 +603,60 @@ def test_materialize_builds_each_distinct_operator_once(toy, monkeypatch):
         for layer, mats in zip(br, mbr.layer_matrices):
             for b, m in zip(layer.b, mats):
                 entries[float(b)] = m
-                assert np.array_equal(m, cache(b)[0])
+                entry = cache(abs(b))[0]
+                assert np.array_equal(m, entry if b >= 0 else entry.conj().T)
                 assert np.max(np.abs(m - flat_suzuki(toy, chi, b * t))) <= 1e-13
     negative = [b for b in entries if b < 0]
     assert negative
     for b in negative:
         assert np.array_equal(entries[b], entries[-b].conj().T)
     assert spectral_distance(mat.resolution * mixture_mean(mat), mpf_matrix(spec, toy, t)) < 1e-12
+
+
+def default_spec(kind, chi, R=3):
+    """cw on ells 1..R (powers up to R), or matching / cf on the default nodes +-1, +-2, ..."""
+    if kind == "cw":
+        return cw_coefficients(chi, R - 1)
+    return spec_from_b(kind, chi, R, default_initial_b(chi, R, kind))
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared_cache", "fresh_cache"])
+@pytest.mark.parametrize("n_ts", [1, 5])
+@pytest.mark.parametrize("chi", [1, 2])
+@pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
+def test_mpf_matrices_is_the_reference_bitwise(kind, chi, n_ts, shared):
+    H = heisenberg(3)
+    ts = np.linspace(0.05, 0.9, n_ts)
+    spec = default_spec(kind, chi)
+    if kind == "cw":
+        assert max(spec.branches[0][0].power) == 3
+    else:
+        assert min(b for branch in spec.branches for layer in branch for b in layer.b) < 0
+    if shared:  # one cache, already holding other formulas' entries
+        cache = SuzukiGridCache(H, chi, ts)
+        for other in ("cw", "matching", "cf"):
+            mpf_matrices(default_spec(other, chi, R=2), H, ts, cache)
+        got, want = mpf_matrices(spec, H, ts, cache), reference_mpf_matrices(spec, H, ts, cache)
+    else:
+        got, want = mpf_matrices(spec, H, ts), reference_mpf_matrices(spec, H, ts)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("chi", [1, 2])
+@pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
+def test_mpf_matrices_holds_four_grid_arrays(kind, chi):
+    H = free_fermion(64)[1]
+    ts = np.linspace(0.1, 0.8, 8)
+    spec = default_spec(kind, chi)
+    cache = SuzukiGridCache(H, chi, ts)
+    for size in scale_sizes(spec):
+        cache(size)
+    grid_array = len(ts) * H.dim**2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        mpf_matrices(spec, H, ts, cache)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # slack: a ufunc iteration buffer (8192 complex entries) and small objects
+    assert peak <= 4 * grid_array + 2**18

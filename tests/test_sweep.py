@@ -1,11 +1,14 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import mpfsim.cli
 import mpfsim.sweep
 from mpfsim.bounds import Method
 from mpfsim.cli import main
 from mpfsim.models import anticommuting, free_fermion, heisenberg, syk
-from mpfsim.mpf import cw_coefficients, mpf_matrices
+from mpfsim.mpf import Layer, cw_coefficients, mpf_matrices
 from mpfsim.operators import (
     exact_evolutions,
     hamiltonian,
@@ -22,6 +25,7 @@ from mpfsim.sweep import (
     method_matrices,
     ts_matrices,
 )
+from references import reference_mpf_matrices
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +57,8 @@ def test_recursive_cache_matches_flat_schedule_build(toy, model, chi, scale):
         "anticommuting": anticommuting(),
     }[model]
     ts = np.logspace(-2, 0.5, 5)
-    got = SuzukiGridCache(H, chi, ts)(scale)
+    entry = SuzukiGridCache(H, chi, ts)(abs(scale))
+    got = entry if scale > 0 else entry.conj().transpose(0, 2, 1)
     flat = schedule_matrices(merge_adjacent(suzuki_schedule(chi, H.L)), H, scale * ts)
     if chi == 1 and scale > 0:
         assert np.array_equal(got, flat)
@@ -61,10 +66,25 @@ def test_recursive_cache_matches_flat_schedule_build(toy, model, chi, scale):
 
 
 def test_negative_scale_is_adjoint_and_not_stored(toy):
-    cache = SuzukiGridCache(toy, 2, np.array([0.1, 0.7]))
-    neg = cache(-3.0)
+    """The cache refuses b < 0; a formula's node b < 0 reads the adjoint of the |b| entry."""
+    ts = np.array([0.1, 0.7])
+    cache = SuzukiGridCache(toy, 2, ts)
+    with pytest.raises(ValueError, match="size"):
+        cache(-3.0)
+    assert cache._cache == {}
+    one_node = SimpleNamespace(chi=2, branches=((Layer(np.array([1.0]), np.array([-3.0]), np.array([1]), 1.0),),))
+    neg = mpf_matrices(one_node, toy, ts, cache)
     assert np.array_equal(neg, cache(3.0).conj().transpose(0, 2, 1))
     assert list(cache._cache) == [3.0]
+
+
+def test_keep_only_drops_the_other_sizes(toy):
+    cache = SuzukiGridCache(toy, 1, np.array([0.1, 0.7]))
+    kept = cache(0.5)
+    cache(2.0)
+    cache.keep_only({0.5, 3.0})
+    assert list(cache._cache) == [0.5]
+    assert cache(0.5) is kept
 
 
 def test_distance_builds_two_s2_grids_per_node_magnitude(monkeypatch, capsys):
@@ -85,6 +105,66 @@ def test_distance_builds_two_s2_grids_per_node_magnitude(monkeypatch, capsys):
     assert len(builds) == 2 * 9
     assert all(steps == 2 * L - 1 for steps, L, _ in builds)
     assert len({grid for _, _, grid in builds}) == len(builds)
+
+
+# The default chi = 2, reps = 3 formulas: ts reads 1/3, cw 1, 1/2 and 1/3,
+# matching and cf the default nodes +-1..+-7.
+DEFAULT_SIZES = {
+    Method.TROTTER_SUZUKI: {1 / 3},
+    Method.CHILDS_WIEBE: {1.0, 1 / 2, 1 / 3},
+    Method.MATCHING: {float(k) for k in range(1, 8)},
+    Method.CLOSED_FORM: {float(k) for k in range(1, 8)},
+}
+
+
+@pytest.mark.parametrize(
+    "order",
+    [(0, 1, 2, 3), (3, 2, 1, 0), (1, 2, 0, 3)],  # the last puts matching between the two readers of 1/3
+    ids=["paper_order", "reversed_order", "interleaved_order"],
+)
+def test_distance_keeps_a_size_only_until_its_last_reader(order, monkeypatch, capsys):
+    monkeypatch.setattr(mpfsim.cli, "METHOD_ORDER", tuple(mpfsim.cli.METHOD_ORDER[i] for i in order))
+    held = []
+    curve = mpfsim.cli.distance_curve
+
+    def recording(H, method, taus, chi, reps, spec, cache):
+        held.append((method, sorted(cache._cache)))
+        return curve(H, method, taus, chi, reps, spec, cache)
+
+    builds = []
+
+    def counting(sched, H, ts):
+        builds.append(tuple(ts))
+        return schedule_matrices(sched, H, ts)
+
+    monkeypatch.setattr(mpfsim.cli, "distance_curve", recording)
+    monkeypatch.setattr(mpfsim.sweep, "schedule_matrices", counting)
+    argv = ["distance", "--model", "toy", "--chi", "2", "--reps", "3", "--tau-points", "3"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    methods = [method for method, _ in held]
+    assert methods == list(mpfsim.cli.METHOD_ORDER)
+    for i, (method, sizes) in enumerate(held):
+        read_before = set().union(*(DEFAULT_SIZES[m] for m in methods[:i]))
+        read_from_here = set().union(*(DEFAULT_SIZES[m] for m in methods[i:]))
+        assert set(sizes) == read_before & read_from_here, method
+    assert len(builds) == 2 * 9  # each size built once, two S_2 grids each
+    assert len(set(builds)) == len(builds)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [["heisenberg", "--n", "4"], ["anticommuting"], ["syk", "--syk-n", "8"], ["hubbard"], ["free_fermion", "--n", "4"]],
+    ids=lambda m: m[0],
+)
+def test_distance_csv_is_the_reference_combinations(model, tmp_path, monkeypatch, capsys):
+    """Entry release and the fixed-buffer combination leave every distance bit unchanged."""
+    argv = ["distance", "--model", *model, "--tau-points", "4", "--csv"]
+    assert main([*argv, str(tmp_path / "fixed.csv")]) == 0
+    monkeypatch.setattr(mpfsim.sweep, "method_matrices", reference_mpf_matrices)
+    assert main([*argv, str(tmp_path / "reference.csv")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "fixed.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 def test_method_matrices_is_mpf_matrices():
