@@ -60,7 +60,7 @@ SLOPE_MIN_SPAN_DECADES = 0.5
 
 
 class SuzukiGridCache:
-    """Batched order-2chi Suzuki evaluations S(b t) over a fixed time grid.
+    """Batched order-2chi Suzuki evaluations S(|b| t) over a fixed time grid.
 
     A lookup takes a size |b| >= 0 and refuses a negative scale: S(b t) for
     b < 0 is the conjugate transpose of the |b| entry, which the caller
