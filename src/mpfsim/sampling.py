@@ -18,6 +18,18 @@ keyed (seed, s, j), with 0 <= seed < 2^128 and 0 <= s, j < 2^64:
 reproducibility is a property of the indices, not of execution order, so
 shots can run in any order or in parallel.  A shot takes its five uniforms
 in one draw: branch and combination of each arm, then the Born sample.
+
+:func:`run_estimator` runs its shots in batches.  A batch draws the uniforms
+of many addresses at once, with Philox4x64-10 (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11) written in numpy uint64
+arithmetic, and Born samples them together; every batched shot is bit for
+bit the :func:`single_shot` of the same address, and the signed outcomes
+are added in shot order, so the estimate does not depend on the batch size.
+The working set of a batch is capped at ``BATCH_BYTES``, so memory does not
+grow with the shot count.  After the batches the estimator recomputes its
+first and last shot with :func:`single_shot` and raises ``RuntimeError`` if
+either differs from the batch's, which ties the batched arithmetic to
+numpy's own generator on the running platform.
 """
 
 from __future__ import annotations
@@ -43,6 +55,17 @@ __all__ = [
 
 DENSITY_DIM_CAP = 64
 DEFAULT_COMBO_CAP = 10**6
+# Bytes a batch of shots may hold at once, uniforms included.
+BATCH_BYTES = 1 << 20
+# Shots whose uniforms one Philox pass draws; its few hundred numpy calls
+# cost about the same at any length, so it runs ahead of smaller Born batches.
+_UNIFORM_BLOCK = 2048
+
+_M32 = np.uint64(0xFFFFFFFF)
+_S32 = np.uint64(32)
+# Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11)
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 
 
 @dataclass(frozen=True)
@@ -137,29 +160,139 @@ def expected_value(mat: MaterializedEnsemble, rho: QuantumState, O: Observable) 
     return sandwich(O, rho, vbar, vbar)
 
 
+def _check_address(seed: int, stream: int, shot: int) -> None:
+    if not 0 <= seed < 2**128:
+        raise ValueError("seed must be in [0, 2^128)")
+    for name, index in (("stream", stream), ("shot", shot)):
+        if not 0 <= index < 2**64:
+            raise ValueError(f"{name} must be in [0, 2^64)")
+
+
 def shot_rng(seed: int, stream: int, shot: int) -> np.random.Generator:
     """Counter-based per-shot generator; (seed, stream, shot) is the address.
 
     The seed is Philox's 128-bit key and stream and shot are 64-bit counter
     words, so each must fit: 0 <= seed < 2^128 and 0 <= stream, shot < 2^64.
     """
-    if not 0 <= seed < 2**128:
-        raise ValueError("seed must be in [0, 2^128)")
-    for name, index in (("stream", stream), ("shot", shot)):
-        if not 0 <= index < 2**64:
-            raise ValueError(f"{name} must be in [0, 2^64)")
+    _check_address(seed, stream, shot)
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, seed >> 64], dtype=np.uint64)
     counter = np.array([0, 0, stream, shot], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
+def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, from 32-bit limbs."""
+    m0, m1 = m & _M32, m >> _S32
+    x0, x1 = x & _M32, x >> _S32
+    p01, p10 = m0 * x1, m1 * x0
+    mid = (m0 * x0 >> _S32) + (p01 & _M32) + (p10 & _M32)
+    return m1 * x1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32), m * x
+
+
+def _uniforms(seed: int, stream: int, j0: int, n: int) -> np.ndarray:
+    """(n, 5) uniforms of shots j0..j0+n-1; row i is ``shot_rng(seed, stream, j0 + i).random(5)``.
+
+    numpy's Philox increments counter word 0 before each block of four words, so
+    the generator at counter [0, 0, stream, j] emits the block of counter
+    [1, 0, stream, j] and then that of [2, 0, stream, j]: a shot's first four
+    uniforms and its fifth.  A word x becomes the double (x >> 11) 2^-53.
+    """
+    j = np.arange(n, dtype=np.uint64) + np.uint64(j0)
+    # counter words; axis 0 holds the two blocks
+    ctr = [np.array([[1], [2]], dtype=np.uint64), np.zeros((2, 1), dtype=np.uint64),
+           np.full((2, 1), stream, dtype=np.uint64), np.broadcast_to(j, (2, n))]
+    k0, k1 = np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(seed >> 64)
+    with np.errstate(over="ignore"):
+        for r in range(10):
+            if r:
+                k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+            hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
+            hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
+            ctr = [hi1 ^ ctr[1] ^ k0, lo1, hi0 ^ ctr[3] ^ k1, lo0]
+    words = np.empty((n, 5), dtype=np.uint64)
+    for w in range(4):
+        words[:, w] = ctr[w][0]
+    words[:, 4] = ctr[0][1]
+    words >>= np.uint64(11)
+    return words * (1.0 / 9007199254740992.0)
+
+
+@dataclass(frozen=True)
+class _BatchTables:
+    """A sampler's search tables as arrays, and the shots a Born batch holds."""
+
+    branch_cum: np.ndarray
+    combo_cums: tuple[np.ndarray, ...]
+    combo_signs: tuple[np.ndarray, ...]
+    outcomes: np.ndarray  # (ancilla +, eigenvalue i) then (ancilla -, i)
+    shots: int
+
+
+def _batch_tables(sampler: PreparedSampler) -> _BatchTables:
+    dim, rank = sampler.branches[0].combo_amps.shape[1:]
+    # gathered arms, their sum and difference, |.|^2 by rank, and the Born rows
+    per_shot = 16 * 4 * dim * rank + 8 * 2 * dim * rank + 3 * 8 * 2 * dim
+    return _BatchTables(
+        branch_cum=np.asarray(sampler.branch_cum),
+        combo_cums=tuple(np.asarray(br.combo_cum) for br in sampler.branches),
+        combo_signs=tuple(np.asarray(br.combo_signs, dtype=float) for br in sampler.branches),
+        outcomes=np.concatenate([sampler.eigenvalues, -sampler.eigenvalues]),
+        shots=max(1, (BATCH_BYTES - 40 * _UNIFORM_BLOCK) // per_shot),
+    )
+
+
+def _pick_many(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """:func:`_pick` of each uniform in u."""
+    return np.minimum(np.searchsorted(cum, u * cum[-1]), len(cum) - 1)
+
+
+def _shot_terms(sampler: PreparedSampler, tables: _BatchTables, u: np.ndarray) -> np.ndarray:
+    """sign * outcome of the shots whose uniforms are the rows of u, each as :func:`single_shot`."""
+    n = len(u)
+    gathered = np.empty((2, n, *sampler.branches[0].combo_amps.shape[1:]), dtype=complex)
+    signs = np.ones(n)
+    for arm in range(2):
+        branch = _pick_many(tables.branch_cum, u[:, 2 * arm])
+        for b, br in enumerate(sampler.branches):
+            rows = np.flatnonzero(branch == b)
+            combo = _pick_many(tables.combo_cums[b], u[rows, 2 * arm + 1])
+            gathered[arm, rows] = br.combo_amps[combo]
+            signs[rows] *= tables.combo_signs[b][combo]
+    arms = np.empty((n, 2, *gathered.shape[2:]), dtype=complex)
+    np.add(gathered[0], gathered[1], out=arms[:, 0])
+    np.subtract(gathered[0], gathered[1], out=arms[:, 1])
+    del gathered
+    # Born probabilities as single_shot forms them; row sums and cumsums run
+    # along the contiguous last axis, in the order of single_shot's 1-D ones
+    probs = np.abs(arms)
+    del arms
+    probs **= 2
+    probs = probs.sum(axis=3).reshape(n, -1)
+    probs *= 0.25
+    below = np.cumsum(probs, axis=1) < (u[:, 4] * probs.sum(axis=1))[:, None]
+    idx = np.minimum(np.count_nonzero(below, axis=1), len(tables.outcomes) - 1)
+    return signs * tables.outcomes[idx]
+
+
 def _signed_sum(sampler: PreparedSampler, N: int, seed: int, stream: int) -> float:
-    """Sum of sign * outcome over shots 0..N-1 of one estimator stream."""
+    """Sum of sign * outcome over shots 0..N-1 of one estimator stream, added in shot order."""
+    tables = _batch_tables(sampler)
     total = 0.0
-    for j in range(N):
+    for j0 in range(0, N, _UNIFORM_BLOCK):
+        u = _uniforms(seed, stream, j0, min(_UNIFORM_BLOCK, N - j0))
+        for k in range(0, len(u), tables.shots):
+            terms = _shot_terms(sampler, tables, u[k : k + tables.shots])
+            if j0 + k == 0:
+                first = terms[0]
+            last = terms[-1]
+            # a sequential running sum, as the per-shot loop adds
+            terms[0] += total
+            total = np.cumsum(terms)[-1]
+    for j, term in ((0, first), (N - 1, last)):
         rec = single_shot(sampler, shot_rng(seed, stream, j))
-        total += rec.sign_product * rec.outcome
-    return total
+        if rec.sign_product * rec.outcome != term:
+            raise RuntimeError(f"batched shot (seed={seed}, stream={stream}, j={j}) differs from single_shot")
+    return float(total)
 
 
 def run_estimator(
@@ -180,5 +313,6 @@ def run_estimator(
     """
     if N < 1:
         raise ValueError("N must be >= 1")
+    _check_address(seed, stream, N - 1)
     mean = _signed_sum(prepare_sampler(mat, rho, O), N, seed, stream) / N
     return mat.resolution**2 * O.scale * mean, mean

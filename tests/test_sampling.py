@@ -1,6 +1,15 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import mpfsim.sampling
 from mpfsim.bounds import hoeffding_shots
 from mpfsim.ensembles import materialize, mixture_mean
 from mpfsim.mpf import cw_coefficients, mpf_ensemble, mpf_matrix
@@ -14,6 +23,7 @@ from mpfsim.operators import (
 )
 from mpfsim.optimize import default_initial_b, spec_from_b
 from mpfsim.sampling import (
+    ShotRecord,
     expected_value,
     prepare_sampler,
     run_estimator,
@@ -329,7 +339,13 @@ def test_shot_rng_rejects_shot_outside_64_bits(index):
         shot_rng(0, 0, index)
 
 
-def reference_sampler(kind, state):
+def distinct_outcome_observable():
+    """An observable on two qubits whose 2 dim signed outcomes +-lambda_i are all distinct."""
+    q = np.linalg.qr(_random_matrix(np.random.default_rng(11), 4))[0]
+    return observable(q @ np.diag([0.9, 0.5, -0.3, 0.1]) @ q.conj().T)
+
+
+def reference_sampler(kind, state, O=None):
     H = hamiltonian([pauli_string("XI"), pauli_string("ZZ"), pauli_string("IY")], label="toy3")
     if kind == "cw":
         spec = cw_coefficients(2, 2)
@@ -342,7 +358,7 @@ def reference_sampler(kind, state):
         v = np.linalg.qr(np.random.default_rng(8).normal(size=(4, 2)))[0]
         rho = QuantumState.mixed(0.7 * np.outer(v[:, 0], v[:, 0]) + 0.3 * np.outer(v[:, 1], v[:, 1]))
         assert rho.factor.shape == (4, 2)
-    return mat, rho, observable(pauli_string("ZX"))
+    return mat, rho, observable(pauli_string("ZX")) if O is None else O
 
 
 @pytest.mark.parametrize("state", ["pure", "mixed"])
@@ -396,3 +412,179 @@ def test_prepared_table_matches_enumeration(toy2q, kind, state):
             assert br.combo_signs[i] == sign
             assert np.max(np.abs(br.combo_amps[i] - basis @ op @ factor)) <= 1e-12
     assert next(combos, None) is None
+
+
+@pytest.mark.parametrize("state", ["pure", "mixed"])
+@pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
+def test_born_index_matches_reference_on_distinct_outcomes(kind, state):
+    """Every Born index maps to its own outcome, so a neighbouring index cannot pass."""
+    O = distinct_outcome_observable()
+    assert len(set(np.concatenate([O.eigenvalues, -O.eigenvalues]).tolist())) == 8
+    mat, rho, O = reference_sampler(kind, state, O)
+    sampler = prepare_sampler(mat, rho, O)
+    records = [single_shot(sampler, shot_rng(13, 2, j)) for j in range(600)]
+    references = [reference_shot(sampler, shot_rng(13, 2, j)) for j in range(600)]
+    assert records == references
+    # cw's two arms nearly agree, so these shots see only its ancilla-plus outcomes
+    assert len({rec.outcome for rec in records}) == (4 if kind == "cw" else 8)
+    terms = np.array([rec.sign_product * rec.outcome for rec in references])
+    tables = mpfsim.sampling._batch_tables(sampler)
+    batch = mpfsim.sampling._shot_terms(sampler, tables, mpfsim.sampling._uniforms(13, 2, 0, 600))
+    assert batch.tobytes() == terms.tobytes()
+
+
+EDGE_ADDRESSES = [
+    (0, 0, 0, 9),
+    (13, 2, 0, 600),
+    (2**128 - 1, 2**64 - 1, 2**64 - 4, 4),
+    (int(1.2e22), 2**64 - 1, 2**63, 3),
+    (2**64, 1, 2**64 - 1, 1),
+]
+
+
+def _reference_uniforms(seed, stream, j0, n):
+    return np.array([shot_rng(seed, stream, j0 + i).random(5) for i in range(n)])
+
+
+@pytest.mark.parametrize("seed, stream, j0, n", EDGE_ADDRESSES)
+def test_batch_uniforms_are_numpy_philox_at_edge_addresses(seed, stream, j0, n):
+    u = mpfsim.sampling._uniforms(seed, stream, j0, n)
+    assert u.shape == (n, 5)
+    assert u.tobytes() == _reference_uniforms(seed, stream, j0, n).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**128 - 1),
+    stream=st.integers(0, 2**64 - 1),
+    j0=st.integers(0, 2**64 - 1),
+    n=st.integers(1, 40),
+)
+@example(seed=0, stream=0, j0=2**64 - 1, n=1)
+def test_batch_uniforms_are_numpy_philox(seed, stream, j0, n):
+    n = min(n, 2**64 - j0)
+    u = mpfsim.sampling._uniforms(seed, stream, j0, n)
+    assert u.tobytes() == _reference_uniforms(seed, stream, j0, n).tobytes()
+
+
+@pytest.mark.parametrize("state", ["pure", "mixed"])
+@pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
+def test_run_estimator_mean_is_the_reference_loop_at_batch_edges(kind, state):
+    mat, rho, O = reference_sampler(kind, state)
+    sampler = prepare_sampler(mat, rho, O)
+    batch = mpfsim.sampling._batch_tables(sampler).shots
+    block = mpfsim.sampling._UNIFORM_BLOCK
+    assert 1 < batch < block
+    sizes = [1, batch - 1, batch, batch + 1, block + 1]
+    terms = []
+    for j in range(max(sizes)):
+        rec = reference_shot(sampler, shot_rng(31, 4, j))
+        terms.append(rec.sign_product * rec.outcome)
+    for n in sizes:
+        total = 0.0
+        for term in terms[:n]:
+            total += term
+        assert run_estimator(mat, rho, O, n, 31, stream=4)[1] == total / n
+
+
+def test_run_estimator_raises_when_a_batched_shot_differs_from_single_shot(cw_setup, monkeypatch):
+    _, _, mat, O, rho = cw_setup
+    single = mpfsim.sampling.single_shot
+
+    def flipped(sampler, rng):
+        rec = single(sampler, rng)
+        return ShotRecord(outcome=rec.outcome, sign_product=-rec.sign_product)
+
+    monkeypatch.setattr(mpfsim.sampling, "single_shot", flipped)
+    with pytest.raises(RuntimeError, match=r"seed=5, stream=1, j=0\)"):
+        run_estimator(mat, rho, O, 300, 5, stream=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128])
+def test_run_estimator_refuses_a_seed_outside_128_bits(cw_setup, seed):
+    _, _, mat, O, rho = cw_setup
+    with pytest.raises(ValueError, match="seed"):
+        run_estimator(mat, rho, O, 10, seed)
+
+
+@pytest.mark.parametrize("stream", [-1, 2**64])
+def test_run_estimator_refuses_a_stream_outside_64_bits(cw_setup, stream):
+    _, _, mat, O, rho = cw_setup
+    with pytest.raises(ValueError, match="stream"):
+        run_estimator(mat, rho, O, 10, 0, stream=stream)
+
+
+def test_signed_sum_memory_is_flat_in_the_shot_count(cw_setup):
+    _, _, mat, O, rho = cw_setup
+    sampler = prepare_sampler(mat, rho, O)
+
+    def peak(n):
+        tracemalloc.start()
+        try:
+            mpfsim.sampling._signed_sum(sampler, n, 17, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(2_000), peak(200_000)
+    assert abs(large - small) <= 64 * 1024
+    assert large <= mpfsim.sampling.BATCH_BYTES
+
+
+# Batched terms against single_shot at every address, for each kind, state
+# and observable; run in a fresh process under the given CPU-feature setting.
+_BATCH_EQUALS_SINGLE_SHOT = r"""
+import os
+import sys
+
+sys.path[:0] = sys.argv[1:3]
+import numpy as np
+import mpfsim.sampling as sampling
+from test_sampling import distinct_outcome_observable, reference_sampler
+
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:
+    from numpy.core._multiarray_umath import __cpu_features__
+still_on = [f for f in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if __cpu_features__.get(f)]
+if still_on:
+    raise SystemExit(f"features not disabled: {still_on}")
+for kind in ("cw", "matching", "cf"):
+    for state in ("pure", "mixed"):
+        for O in (None, distinct_outcome_observable()):
+            mat, rho, O = reference_sampler(kind, state, O)
+            sampler = sampling.prepare_sampler(mat, rho, O)
+            u = sampling._uniforms(13, 2, 0, 600)
+            batch = sampling._shot_terms(sampler, sampling._batch_tables(sampler), u)
+            records = [sampling.single_shot(sampler, sampling.shot_rng(13, 2, j)) for j in range(600)]
+            single = np.array([rec.sign_product * rec.outcome for rec in records])
+            if batch.tobytes() != single.tobytes():
+                raise SystemExit(f"{kind} {state}: batch differs from single_shot")
+print("ok")
+"""
+
+
+def _cpu_features():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@pytest.mark.parametrize(
+    "disabled", ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"]
+)
+def test_batch_equals_single_shot_under_emulated_cpu_levels(disabled):
+    """Complex abs and the reductions have SIMD loops, so equality must hold per level."""
+    missing = [f for f in disabled.split() if not _cpu_features().get(f)]
+    if missing:
+        pytest.skip(f"numpy found no {missing} on this machine")
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled}
+    proc = subprocess.run(
+        [sys.executable, "-c", _BATCH_EQUALS_SINGLE_SHOT, str(root / "src"), str(root / "tests")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:] + proc.stdout[-2000:]
+    assert proc.stdout.strip() == "ok"
