@@ -467,10 +467,12 @@ def test_batch_uniforms_are_numpy_philox(seed, stream, j0, n):
     assert u.tobytes() == _reference_uniforms(seed, stream, j0, n).tobytes()
 
 
+@pytest.mark.parametrize("distinct", [False, True])
 @pytest.mark.parametrize("state", ["pure", "mixed"])
 @pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
-def test_run_estimator_mean_is_the_reference_loop_at_batch_edges(kind, state):
-    mat, rho, O = reference_sampler(kind, state)
+def test_run_estimator_mean_is_the_reference_loop_at_batch_edges(kind, state, distinct):
+    """Bitwise, so the terms must be added in shot order; +-1 outcomes add exactly in any order."""
+    mat, rho, O = reference_sampler(kind, state, distinct_outcome_observable() if distinct else None)
     sampler = prepare_sampler(mat, rho, O)
     batch = mpfsim.sampling._batch_tables(sampler).shots
     block = mpfsim.sampling._UNIFORM_BLOCK
@@ -526,6 +528,7 @@ def test_signed_sum_memory_is_flat_in_the_shot_count(cw_setup):
         finally:
             tracemalloc.stop()
 
+    peak(1)  # the check shots' first call imports numpy.random
     small, large = peak(2_000), peak(200_000)
     assert abs(large - small) <= 64 * 1024
     assert large <= mpfsim.sampling.BATCH_BYTES
