@@ -14,10 +14,17 @@ the formula's operator (:func:`mpfsim.mpf.mpf_matrix`).
 :func:`mpfsim.mpf.mpf_ensemble` builds one.
 
 :func:`materialize` builds each S_2chi(|b| t) once by Suzuki's recursion
-(:func:`~mpfsim.schedules.suzuki_recursion`) from 2^(chi-1) one-point S_2
-builds, the steps the sweep's grid cache runs at one time point, and
-answers b < 0 with the conjugate transpose S(|b| t)^dagger: every Suzuki
-formula is palindromic.
+(:func:`~mpfsim.schedules.suzuki_recursion`) and answers b < 0 with the
+conjugate transpose S(|b| t)^dagger: every Suzuki formula is palindromic.
+The recursion's S_2 leaves, 2^(chi-1) per distinct |b|
+(:func:`~mpfsim.schedules.suzuki_leaf_scales`), come from one step loop
+over all of their times (:func:`~mpfsim.schedules.schedule_matrices`), cut
+into chunks whose accumulator holds at most ``BATCH_BYTES``; a leaf is
+dropped once every |b| that reads it is built.  Each batched leaf is bit for
+bit the one-point build of its time.  After its chunk the largest leaf is
+rebuilt with :func:`~mpfsim.schedules.schedule_matrix`, and ``RuntimeError``
+is raised if the two differ, which ties the batch to the one-point build on
+the running numpy and BLAS.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .operators import HamiltonianSpec
-from .schedules import ExponentSchedule, schedule_matrix, suzuki_recursion
+from .schedules import ExponentSchedule, schedule_matrices, schedule_matrix, suzuki_leaf_scales, suzuki_recursion
 
 if TYPE_CHECKING:
     from .mpf import MPFSpec  # mpf imports this module
@@ -40,6 +47,11 @@ __all__ = [
     "materialize",
     "mixture_mean",
 ]
+
+# Bytes a batch may hold at once: a leaf build's (d, B*d) accumulator here,
+# a batch of shots' working set in :mod:`mpfsim.sampling`.
+BATCH_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SamplingEnsemble:
@@ -68,13 +80,28 @@ class MaterializedEnsemble:
 
 def materialize(ens: SamplingEnsemble, H: HamiltonianSpec, t: float) -> MaterializedEnsemble:
     """Evaluate every entry S(b t)^power at time t, building S(|b| t) once per distinct |b|."""
+    chi = ens.spec.chi
+    sizes = list(dict.fromkeys(abs(float(b)) for branch in ens.spec.branches for layer in branch for b in layer.b))
+    reads = {size: suzuki_leaf_scales(chi, size) for size in sizes}
+    scales = list(dict.fromkeys(y for ys in reads.values() for y in ys))
+    largest = max(scales, key=abs)
+    per_chunk = max(1, BATCH_BYTES // (16 * H.dim**2))
+    leaves: dict[float, np.ndarray] = {}
     built: dict[float, np.ndarray] = {}
+    for i in range(0, len(scales), per_chunk):
+        chunk = scales[i : i + per_chunk]
+        leaves.update(zip(chunk, schedule_matrices(ens.schedule, H, np.array(chunk) * t)))
+        if largest in chunk and schedule_matrix(ens.schedule, H, largest * t).tobytes() != leaves[largest].tobytes():
+            raise RuntimeError(f"batched S_2 leaf at scale {largest!r} differs from schedule_matrix")
+        # sizes complete in list order, since their leaves are listed in it
+        while len(built) < len(sizes) and all(y in leaves for y in reads[sizes[len(built)]]):
+            size = sizes[len(built)]
+            built[size] = suzuki_recursion(chi, size, leaves.__getitem__)
+        wanted = {y for size in sizes[len(built) :] for y in reads[size]}
+        leaves = {y: leaf for y, leaf in leaves.items() if y in wanted}
 
     def entry(b: float, power: int) -> np.ndarray:
-        size = abs(b)
-        if size not in built:
-            built[size] = suzuki_recursion(ens.spec.chi, size, lambda y: schedule_matrix(ens.schedule, H, y * t))
-        base = built[size] if b >= 0 else built[size].conj().T
+        base = built[abs(b)] if b >= 0 else built[abs(b)].conj().T
         out = base
         for _ in range(power - 1):
             out = out @ base

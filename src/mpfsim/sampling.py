@@ -25,11 +25,12 @@ random numbers: as easy as 1, 2, 3", SC'11) written in numpy uint64
 arithmetic, and Born samples them together; every batched shot is bit for
 bit the :func:`single_shot` of the same address, and the signed outcomes
 are added in shot order, so the estimate does not depend on the batch size.
-The working set of a batch is capped at ``BATCH_BYTES``, so memory does not
-grow with the shot count.  After the batches the estimator recomputes its
-first and last shot with :func:`single_shot` and raises ``RuntimeError`` if
-either differs from the batch's, which ties the batched arithmetic to
-numpy's own generator on the running platform.
+The working set of a batch, uniforms included, is capped at
+:data:`~mpfsim.ensembles.BATCH_BYTES`, so memory does not grow with the
+shot count.  After the batches the estimator recomputes its first and last
+shot with :func:`single_shot` and raises ``RuntimeError`` if either differs
+from the batch's, which ties the batched arithmetic to numpy's own
+generator on the running platform.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensembles import MaterializedEnsemble, mixture_mean
+from .ensembles import BATCH_BYTES, MaterializedEnsemble, mixture_mean
 from .operators import Observable, QuantumState, sandwich
 
 __all__ = [
@@ -55,8 +56,6 @@ __all__ = [
 
 DENSITY_DIM_CAP = 64
 DEFAULT_COMBO_CAP = 10**6
-# Bytes a batch of shots may hold at once, uniforms included.
-BATCH_BYTES = 1 << 20
 # Shots whose uniforms one Philox pass draws; its few hundred numpy calls
 # cost about the same at any length, so it runs ahead of smaller Born batches.
 _UNIFORM_BLOCK = 2048

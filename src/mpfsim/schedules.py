@@ -21,7 +21,8 @@ as two matrix products.
 
 :func:`suzuki_recursion` builds an order-2chi operator from S_2 operators
 by Suzuki's five-fold recursion; the sweep's grid cache and the sampling
-ensembles both build their S_2chi(b t) through it.
+ensembles both build their S_2chi(b t) through it, and
+:func:`suzuki_leaf_scales` lists the S_2 scales it reads.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ __all__ = [
     "merged_count",
     "suzuki_merged_count",
     "suzuki_recursion",
+    "suzuki_leaf_scales",
 ]
 
 
@@ -127,6 +129,18 @@ def suzuki_recursion(chi: int, scale: float, s2: Callable[[float], np.ndarray]) 
     outer = suzuki_recursion(chi - 1, s * scale, s2)
     outer = outer @ outer
     return outer @ suzuki_recursion(chi - 1, (1.0 - 4.0 * s) * scale, s2) @ outer
+
+
+def suzuki_leaf_scales(chi: int, scale: float) -> list[float]:
+    """The 2^(chi-1) scales ``suzuki_recursion(chi, scale, s2)`` passes to ``s2``, in call order.
+
+    Each is formed by the recursion's own float operations, so a builder
+    that looks its S_2 operators up by these keys finds every call.
+    """
+    if chi == 1:
+        return [scale]
+    s = suzuki_constant(chi - 1)
+    return suzuki_leaf_scales(chi - 1, s * scale) + suzuki_leaf_scales(chi - 1, (1.0 - 4.0 * s) * scale)
 
 
 def schedule_matrix(s: ExponentSchedule, H: HamiltonianSpec, t: float) -> np.ndarray:

@@ -8,8 +8,9 @@ adaptive window above the double-precision noise floor.
 
 The cache answers sizes |b| only.  It builds S_2chi(|b| t) by Suzuki's
 five-fold recursion (:func:`~mpfsim.schedules.suzuki_recursion`, which
-:func:`~mpfsim.ensembles.materialize` runs at one time point) from batched
-S_2 builds; a negative node reads S(-|b| t) = S(|b| t)^dagger, which
+:func:`~mpfsim.ensembles.materialize` runs at one time point on S_2 leaves
+batched over every |b|) from S_2 builds batched over the grid; a negative
+node reads S(-|b| t) = S(|b| t)^dagger, which
 :func:`~mpfsim.mpf.mpf_matrices` forms in its scratch buffer (every Suzuki
 formula is palindromic).  An entry lives until its last reader: the
 ``distance`` command drops, before each method, every size that neither it
