@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,12 +30,13 @@ from mpfsim.mpf import (
     scale_sizes,
     solve_vandermonde,
 )
-from mpfsim.models import free_fermion, heisenberg
+from mpfsim.models import free_fermion, heisenberg, hubbard_2x2
 from mpfsim.operators import QuantumState, hamiltonian, observable, pauli_string, spectral_distance
 from mpfsim.optimize import default_initial_b, spec_from_b
 from mpfsim.sampling import expected_value
-from mpfsim.schedules import merge_adjacent, s2_schedule, schedule_matrix, suzuki_schedule
+from mpfsim.schedules import merge_adjacent, s2_schedule, schedule_matrix, suzuki_leaf_scales, suzuki_schedule
 from mpfsim.sweep import SuzukiGridCache
+from platforms import cpu_features, openblas_core
 from references import (
     array_poly_mul,
     componentwise_backward_error,
@@ -578,14 +583,19 @@ def test_expected_value_matches_enumeration(kind):
 
 
 def test_materialize_builds_each_distinct_operator_once(toy, monkeypatch):
-    calls = []
-    original = mpfsim.ensembles.schedule_matrix
+    batches, checks = [], []
+    batched, single = mpfsim.ensembles.schedule_matrices, mpfsim.ensembles.schedule_matrix
 
-    def counting(s, H, t):
-        calls.append(t)
-        return original(s, H, t)
+    def counting_batch(s, H, ts):
+        batches.append(np.array(ts))
+        return batched(s, H, ts)
 
-    monkeypatch.setattr(mpfsim.ensembles, "schedule_matrix", counting)
+    def counting_check(s, H, t):
+        checks.append(t)
+        return single(s, H, t)
+
+    monkeypatch.setattr(mpfsim.ensembles, "schedule_matrices", counting_batch)
+    monkeypatch.setattr(mpfsim.ensembles, "schedule_matrix", counting_check)
     chi = 2
     spec = spec_from_b("cf", chi, 2, default_initial_b(chi, 2, "cf"))
     ens = mpf_ensemble(spec, toy.L)
@@ -595,7 +605,12 @@ def test_materialize_builds_each_distinct_operator_once(toy, monkeypatch):
     assert sum(len(layer.b) for layer in layers) == 27
     sizes = {abs(float(b)) for layer in layers for b in layer.b}
     assert len(sizes) == 5
-    assert len(calls) == 2 ** (chi - 1) * len(sizes)
+    leaves = {y for size in sizes for y in suzuki_leaf_scales(chi, size)}
+    assert len(leaves) == 2 ** (chi - 1) * len(sizes)
+    # one batch over every leaf time, and one one-point check of the largest
+    assert len(batches) == 1
+    assert sorted(batches[0].tolist()) == sorted(y * t for y in leaves)
+    assert checks == [max(leaves, key=abs) * t]
     monkeypatch.undo()
     cache = SuzukiGridCache(toy, chi, np.array([t]))
     entries = {}
@@ -611,6 +626,111 @@ def test_materialize_builds_each_distinct_operator_once(toy, monkeypatch):
     for b in negative:
         assert np.array_equal(entries[b], entries[-b].conj().T)
     assert spectral_distance(mat.resolution * mixture_mean(mat), mpf_matrix(spec, toy, t)) < 1e-12
+
+
+def test_materialize_raises_when_the_check_build_differs(toy, monkeypatch):
+    single = mpfsim.ensembles.schedule_matrix
+
+    def one_ulp_off(s, H, t):
+        out = single(s, H, t).copy()
+        out.real[0, 0] = np.nextafter(out.real[0, 0], np.inf)
+        return out
+
+    monkeypatch.setattr(mpfsim.ensembles, "schedule_matrix", one_ulp_off)
+    # entries S(t) and S(t/2)^2: at chi = 1 the leaves are the sizes 1 and 1/2
+    with pytest.raises(RuntimeError, match=r"scale 1\.0 differs"):
+        materialize(mpf_ensemble(cw_coefficients(1, 1), toy.L), toy, 0.4)
+
+
+def test_materialize_memory_stays_at_the_one_point_builds():
+    """hubbard's d = 256 fills the build budget with one leaf, so a chunk holds one.
+
+    Its 28 leaves (7 sizes, 4 per size at chi = 3) built in one batch would
+    take about 32 leaf arrays beyond the one-point builds' peak.
+    """
+    H = hubbard_2x2()
+    leaf = 16 * H.dim**2
+    assert leaf == mpfsim.ensembles.BATCH_BYTES
+    chi, R, t = 3, 2, 0.3
+    spec = spec_from_b("cf", chi, R, default_initial_b(chi, R, "cf"))
+    ens = mpf_ensemble(spec, H.L)
+
+    def one_point():
+        cache = SuzukiGridCache(H, chi, np.array([t]))
+        return [
+            np.stack([cache(abs(float(b)))[0] if b >= 0 else cache(abs(float(b)))[0].conj().T for b in layer.b])
+            for branch in spec.branches
+            for layer in branch
+        ]
+
+    def peak(build):
+        tracemalloc.start()
+        try:
+            build()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(lambda: materialize(ens, H, t)) <= peak(one_point) + leaf
+
+
+# Every materialized entry against the one-point cache entry by bytes, on each
+# zoo model; run in a fresh process under the given platform setting.
+_MATERIALIZE_EQUALS_ONE_POINT = r"""
+import os
+import sys
+
+sys.path[:0] = sys.argv[1:3]
+import numpy as np
+from mpfsim.ensembles import materialize
+from mpfsim.mpf import mpf_ensemble
+from mpfsim.optimize import default_initial_b, spec_from_b
+from mpfsim.sweep import SuzukiGridCache
+from platforms import cpu_features, openblas_core
+from test_schedules import ZOO
+
+still_on = [f for f in os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split() if cpu_features().get(f)]
+if still_on:
+    raise SystemExit(f"features not disabled: {still_on}")
+print(openblas_core())
+for model in sorted(ZOO):
+    H = ZOO[model]()
+    for chi, R in ((2, 3), (3, 2)):
+        spec = spec_from_b("cf", chi, R, default_initial_b(chi, R, "cf"))
+        t = 0.37
+        mat = materialize(mpf_ensemble(spec, H.L), H, t)
+        cache = SuzukiGridCache(H, chi, np.array([t]))
+        for branch, mbr in zip(spec.branches, mat.branches):
+            for layer, mats in zip(branch, mbr.layer_matrices):
+                for b, m in zip(layer.b, mats):
+                    entry = cache(abs(float(b)))[0]
+                    if m.tobytes() != (entry if b >= 0 else entry.conj().T).tobytes():
+                        raise SystemExit(f"{model} chi={chi}: entry b={b} differs from the one-point build")
+print("ok")
+"""
+
+
+@pytest.mark.parametrize(
+    "name,value", [("OPENBLAS_CORETYPE", "Prescott"), ("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR")]
+)
+def test_materialize_equals_one_point_builds_under_emulated_platforms(name, value):
+    """Heisenberg's eigenbasis steps are GEMMs over the whole batch, the others' rotations SIMD loops."""
+    default_core = openblas_core()
+    if name == "OPENBLAS_CORETYPE" and default_core is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    missing = [f for f in value.split() if not cpu_features().get(f)]
+    if name == "NPY_DISABLE_CPU_FEATURES" and missing:
+        pytest.skip(f"numpy found no {missing} on this machine")
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _MATERIALIZE_EQUALS_ONE_POINT, str(root / "src"), str(root / "tests")],
+        env={**os.environ, name: value}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:] + proc.stdout[-2000:]
+    core, verdict = proc.stdout.split()
+    if name == "OPENBLAS_CORETYPE" and core == default_core:
+        pytest.skip(f"{name}={value} selects no other kernel than {core} here")
+    assert verdict == "ok"
 
 
 def default_spec(kind, chi, R=3):

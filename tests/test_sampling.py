@@ -30,6 +30,7 @@ from mpfsim.sampling import (
     shot_rng,
     single_shot,
 )
+from platforms import cpu_features
 from references import coverage_experiment, enumerate_combos, lemma_closeness_check, reference_shot
 
 Z1 = pauli_string("Z")
@@ -543,13 +544,10 @@ import sys
 sys.path[:0] = sys.argv[1:3]
 import numpy as np
 import mpfsim.sampling as sampling
+from platforms import cpu_features
 from test_sampling import distinct_outcome_observable, reference_sampler
 
-try:
-    from numpy._core._multiarray_umath import __cpu_features__
-except ImportError:
-    from numpy.core._multiarray_umath import __cpu_features__
-still_on = [f for f in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if __cpu_features__.get(f)]
+still_on = [f for f in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if cpu_features().get(f)]
 if still_on:
     raise SystemExit(f"features not disabled: {still_on}")
 for kind in ("cw", "matching", "cf"):
@@ -567,20 +565,12 @@ print("ok")
 """
 
 
-def _cpu_features():
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:
-        from numpy.core._multiarray_umath import __cpu_features__
-    return __cpu_features__
-
-
 @pytest.mark.parametrize(
     "disabled", ["X86_V4 AVX512_ICL AVX512_SPR", "X86_V3 X86_V4 AVX512_ICL AVX512_SPR"]
 )
 def test_batch_equals_single_shot_under_emulated_cpu_levels(disabled):
     """Complex abs and the reductions have SIMD loops, so equality must hold per level."""
-    missing = [f for f in disabled.split() if not _cpu_features().get(f)]
+    missing = [f for f in disabled.split() if not cpu_features().get(f)]
     if missing:
         pytest.skip(f"numpy found no {missing} on this machine")
     root = Path(__file__).resolve().parents[1]

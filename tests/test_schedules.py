@@ -14,6 +14,7 @@ from mpfsim.schedules import (
     schedule_matrices,
     schedule_matrix,
     suzuki_constant,
+    suzuki_leaf_scales,
     suzuki_merged_count,
     suzuki_recursion,
     suzuki_schedule,
@@ -97,6 +98,21 @@ def test_suzuki_recursion_matches_flat_schedule(chi):
     assert len(scales) == 2 ** (chi - 1)
     flat = schedule_matrix(merge_adjacent(suzuki_schedule(chi, H.L)), H, -1.5 * t)
     assert np.max(np.abs(got - flat)) <= 1e-13
+
+
+@pytest.mark.parametrize("chi", [1, 2, 3, 4])
+@pytest.mark.parametrize("y", [0.0, 1 / 3, 7.0, 0.37])
+def test_suzuki_leaf_scales_are_the_recursion_calls(chi, y):
+    calls = []
+
+    def record(scale):
+        calls.append(scale)
+        return np.eye(1)
+
+    suzuki_recursion(chi, y, record)
+    assert len(calls) == 2 ** (chi - 1)
+    # hex, so that -0.0 (a negative middle factor at y = 0) must match too
+    assert [x.hex() for x in suzuki_leaf_scales(chi, y)] == [x.hex() for x in calls]
 
 
 def test_repeat_improves_error_quadratically(toy):
