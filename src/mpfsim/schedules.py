@@ -134,8 +134,8 @@ def suzuki_recursion(chi: int, scale: float, s2: Callable[[float], np.ndarray]) 
 def suzuki_leaf_scales(chi: int, scale: float) -> list[float]:
     """The 2^(chi-1) scales ``suzuki_recursion(chi, scale, s2)`` passes to ``s2``, in call order.
 
-    Each is formed by the recursion's own float operations, so a builder
-    that looks its S_2 operators up by these keys finds every call.
+    Each is formed by the same float operations as in the recursion, so a
+    builder that looks its S_2 operators up by these keys finds every call.
     """
     if chi == 1:
         return [scale]
