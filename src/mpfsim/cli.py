@@ -6,7 +6,8 @@ against exact evolution), ``sample`` (shot-planned randomized estimation),
 ``optimize`` (node-vector search) and ``slope`` (order-scaling fit).
 
 Exit codes: 0 success, 2 usage or config error, 3 numeric-diagnostic
-failure, 141 when stdout is closed early (a broken pipe).
+failure (a failed platform self-check included), 141 when stdout is closed
+early (a broken pipe).
 """
 
 from __future__ import annotations
@@ -450,6 +451,9 @@ def main(argv=None) -> int:
     except MatchingSolveError as exc:
         print(f"error: {exc}", file=sys.stderr)
         print("hint: the closed-form kind (--kind cf) always has coefficients", file=sys.stderr)
+        return 3
+    except RuntimeError as exc:  # a batched build or shot differs from its one-point check
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

@@ -19,24 +19,26 @@ reproducibility is a property of the indices, not of execution order, so
 shots can run in any order or in parallel.  A shot takes its five uniforms
 in one draw: branch and combination of each arm, then the Born sample.
 
-:func:`run_estimator` runs its shots in batches.  A batch draws the uniforms
-of many addresses at once, with Philox4x64-10 (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11) written in numpy uint64
-arithmetic, and Born samples them together; every batched shot is bit for
-bit the :func:`single_shot` of the same address, and the signed outcomes
-are added in shot order, so the estimate does not depend on the batch size.
-The working set of a batch, uniforms included, is capped at
-:data:`~mpfsim.ensembles.BATCH_BYTES`, so memory does not grow with the
-shot count.  After the batches the estimator recomputes its first and last
-shot with :func:`single_shot` and raises ``RuntimeError`` if either differs
-from the batch's, which ties the batched arithmetic to numpy's own
-generator on the running platform.
+One function, :func:`_shots`, draws every shot: it takes the uniforms of
+many shots as the rows of one array, picks both arms' branches and
+combinations with ``np.searchsorted`` and Born samples them together.
+:func:`single_shot` is its batch of one.  :func:`run_estimator` runs its
+shots in batches: a batch draws the uniforms of many addresses at once, with
+Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11) written in numpy uint64 arithmetic, and the signed outcomes are added
+in shot order, so the estimate is bit for bit that of a per-shot loop and
+does not depend on the batch size.  The working set of a batch, uniforms
+included, is capped at :data:`~mpfsim.ensembles.BATCH_BYTES`, so memory does
+not grow with the shot count.  After the batches the estimator recomputes
+its first and last shot with :func:`single_shot` and raises
+``RuntimeError`` if either differs from the batch's.  That ties the batched
+Philox to numpy's own generator on the running platform, and a row of a
+many-row batch to a batch of one.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,16 +77,18 @@ class ShotRecord:
 
 @dataclass(frozen=True)
 class _PreparedBranch:
-    combo_cum: list[float]
-    combo_signs: list[int]
+    combo_cum: np.ndarray
+    combo_signs: np.ndarray  # +-1.0
     combo_amps: np.ndarray  # (n_combos, dim, rank) in the observable eigenbasis
 
 
 @dataclass(frozen=True)
 class PreparedSampler:
-    branch_cum: list[float]
+    branch_cum: np.ndarray
     branches: tuple[_PreparedBranch, ...]
     eigenvalues: np.ndarray
+    outcomes: np.ndarray  # (ancilla +, eigenvalue i) then (ancilla -, i)
+    batch_shots: int  # shots one Born batch holds
 
 
 def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable) -> PreparedSampler:
@@ -93,8 +97,7 @@ def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable)
     Combinations run in lexicographic order of their per-layer entry indices,
     layer 0 most significant.  Each branch's table grows from the last layer
     outwards, so every amplitude is M_0 (M_1 (... (M_last F))) for the state
-    factor F.  The cumulative tables and signs are Python lists, which a
-    shot searches with :func:`bisect.bisect_left`.
+    factor F.
     """
     if rho.dim != mat.dim or O.dim != mat.dim:
         raise ValueError("dimension mismatch")
@@ -106,46 +109,65 @@ def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable)
         n_combos = math.prod(len(p) for p in br.layer_probs)
         if n_combos > DEFAULT_COMBO_CAP:
             raise ValueError(f"enumeration cap exceeded: {n_combos}")
-        probs, signs, vecs = np.ones(1), np.ones(1, dtype=int), rho.factor[None]
+        probs, signs, vecs = np.ones(1), np.ones(1), rho.factor[None]
         for p, s, m in reversed(list(zip(br.layer_probs, br.layer_signs, br.layer_matrices))):
             probs = np.multiply.outer(p, probs).ravel()
             signs = np.multiply.outer(s, signs).ravel()
             vecs = (m[:, None] @ vecs[None]).reshape(-1, *rho.factor.shape)
-        branches.append(_PreparedBranch(np.cumsum(probs).tolist(), signs.tolist(), basis @ vecs))
+        branches.append(_PreparedBranch(np.cumsum(probs), signs, basis @ vecs))
+    dim, rank = rho.factor.shape
+    # gathered arms, their sum and difference, |.|^2 by rank, and the Born rows
+    per_shot = 16 * 4 * dim * rank + 8 * 2 * dim * rank + 3 * 8 * 2 * dim
     return PreparedSampler(
-        branch_cum=np.cumsum([br.probability for br in mat.branches]).tolist(),
+        branch_cum=np.cumsum([br.probability for br in mat.branches]),
         branches=tuple(branches),
         eigenvalues=O.eigenvalues.copy(),
+        outcomes=np.concatenate([O.eigenvalues, -O.eigenvalues]),
+        batch_shots=max(1, (BATCH_BYTES - 40 * _UNIFORM_BLOCK) // per_shot),
     )
 
 
-def _pick(cum: list[float], u: float) -> int:
-    """Index of the first cumulative weight >= u * total, as ``np.searchsorted``."""
-    return min(bisect_left(cum, u * cum[-1]), len(cum) - 1)
+def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Index of the first cumulative weight >= u * total, for each uniform in u."""
+    return np.minimum(np.searchsorted(cum, u * cum[-1]), len(cum) - 1)
+
+
+def _shots(sampler: PreparedSampler, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, outcome) of the shots whose five uniforms are the rows of u.
+
+    Each arm picks a branch and then a combination in it; the two arms'
+    amplitudes give the Born probabilities of (ancilla +, eigenvalue i) then
+    (ancilla -, i), and the fifth uniform picks one.
+    """
+    n = len(u)
+    gathered = np.empty((2, n, *sampler.branches[0].combo_amps.shape[1:]), dtype=complex)
+    signs = np.ones(n)
+    for arm in range(2):
+        branch = _pick(sampler.branch_cum, u[:, 2 * arm])
+        for b, br in enumerate(sampler.branches):
+            rows = np.flatnonzero(branch == b)
+            combo = _pick(br.combo_cum, u[rows, 2 * arm + 1])
+            gathered[arm, rows] = br.combo_amps[combo]
+            signs[rows] *= br.combo_signs[combo]
+    arms = np.empty((n, 2, *gathered.shape[2:]), dtype=complex)
+    np.add(gathered[0], gathered[1], out=arms[:, 0])
+    np.subtract(gathered[0], gathered[1], out=arms[:, 1])
+    del gathered
+    # row sums and cumsums run along the contiguous last axis
+    probs = np.abs(arms)
+    del arms
+    probs **= 2
+    probs = probs.sum(axis=3).reshape(n, -1)
+    probs *= 0.25
+    below = np.cumsum(probs, axis=1) < (u[:, 4] * probs.sum(axis=1))[:, None]
+    idx = np.minimum(np.count_nonzero(below, axis=1), len(sampler.outcomes) - 1)
+    return signs, sampler.outcomes[idx]
 
 
 def single_shot(sampler: PreparedSampler, rng: np.random.Generator) -> ShotRecord:
-    """One full protocol round: independent arm draws, then one Born sample."""
-    u = rng.random(5).tolist()
-    br1 = sampler.branches[_pick(sampler.branch_cum, u[0])]
-    c1 = _pick(br1.combo_cum, u[1])
-    br2 = sampler.branches[_pick(sampler.branch_cum, u[2])]
-    c2 = _pick(br2.combo_cum, u[3])
-    a1, a2 = br1.combo_amps[c1], br2.combo_amps[c2]
-    arms = np.empty((2, *a1.shape), dtype=complex)
-    np.add(a1, a2, out=arms[0])
-    np.subtract(a1, a2, out=arms[1])
-    # Born probabilities of (ancilla +, eigenvalue i) then (ancilla -, i)
-    probs = np.abs(arms)
-    probs **= 2
-    probs = probs.sum(axis=2).ravel()
-    probs *= 0.25
-    idx = int(np.searchsorted(probs.cumsum(), u[4] * probs.sum()))
-    dim = len(sampler.eigenvalues)
-    idx = min(idx, 2 * dim - 1)
-    ancilla_sign = 1.0 if idx < dim else -1.0
-    outcome = ancilla_sign * sampler.eigenvalues[idx % dim]
-    return ShotRecord(outcome=float(outcome), sign_product=br1.combo_signs[c1] * br2.combo_signs[c2])
+    """One full protocol round: independent arm draws, then one Born sample; :func:`_shots` of one row."""
+    sign, outcome = _shots(sampler, rng.random(5)[None])
+    return ShotRecord(outcome=float(outcome[0]), sign_product=int(sign[0]))
 
 
 def expected_value(mat: MaterializedEnsemble, rho: QuantumState, O: Observable) -> float:
@@ -216,71 +238,14 @@ def _uniforms(seed: int, stream: int, j0: int, n: int) -> np.ndarray:
     return words * (1.0 / 9007199254740992.0)
 
 
-@dataclass(frozen=True)
-class _BatchTables:
-    """A sampler's search tables as arrays, and the shots a Born batch holds."""
-
-    branch_cum: np.ndarray
-    combo_cums: tuple[np.ndarray, ...]
-    combo_signs: tuple[np.ndarray, ...]
-    outcomes: np.ndarray  # (ancilla +, eigenvalue i) then (ancilla -, i)
-    shots: int
-
-
-def _batch_tables(sampler: PreparedSampler) -> _BatchTables:
-    dim, rank = sampler.branches[0].combo_amps.shape[1:]
-    # gathered arms, their sum and difference, |.|^2 by rank, and the Born rows
-    per_shot = 16 * 4 * dim * rank + 8 * 2 * dim * rank + 3 * 8 * 2 * dim
-    return _BatchTables(
-        branch_cum=np.asarray(sampler.branch_cum),
-        combo_cums=tuple(np.asarray(br.combo_cum) for br in sampler.branches),
-        combo_signs=tuple(np.asarray(br.combo_signs, dtype=float) for br in sampler.branches),
-        outcomes=np.concatenate([sampler.eigenvalues, -sampler.eigenvalues]),
-        shots=max(1, (BATCH_BYTES - 40 * _UNIFORM_BLOCK) // per_shot),
-    )
-
-
-def _pick_many(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """:func:`_pick` of each uniform in u."""
-    return np.minimum(np.searchsorted(cum, u * cum[-1]), len(cum) - 1)
-
-
-def _shot_terms(sampler: PreparedSampler, tables: _BatchTables, u: np.ndarray) -> np.ndarray:
-    """sign * outcome of the shots whose uniforms are the rows of u, each as :func:`single_shot`."""
-    n = len(u)
-    gathered = np.empty((2, n, *sampler.branches[0].combo_amps.shape[1:]), dtype=complex)
-    signs = np.ones(n)
-    for arm in range(2):
-        branch = _pick_many(tables.branch_cum, u[:, 2 * arm])
-        for b, br in enumerate(sampler.branches):
-            rows = np.flatnonzero(branch == b)
-            combo = _pick_many(tables.combo_cums[b], u[rows, 2 * arm + 1])
-            gathered[arm, rows] = br.combo_amps[combo]
-            signs[rows] *= tables.combo_signs[b][combo]
-    arms = np.empty((n, 2, *gathered.shape[2:]), dtype=complex)
-    np.add(gathered[0], gathered[1], out=arms[:, 0])
-    np.subtract(gathered[0], gathered[1], out=arms[:, 1])
-    del gathered
-    # Born probabilities as single_shot forms them; row sums and cumsums run
-    # along the contiguous last axis, in the order of single_shot's 1-D ones
-    probs = np.abs(arms)
-    del arms
-    probs **= 2
-    probs = probs.sum(axis=3).reshape(n, -1)
-    probs *= 0.25
-    below = np.cumsum(probs, axis=1) < (u[:, 4] * probs.sum(axis=1))[:, None]
-    idx = np.minimum(np.count_nonzero(below, axis=1), len(tables.outcomes) - 1)
-    return signs * tables.outcomes[idx]
-
-
 def _signed_sum(sampler: PreparedSampler, N: int, seed: int, stream: int) -> float:
     """Sum of sign * outcome over shots 0..N-1 of one estimator stream, added in shot order."""
-    tables = _batch_tables(sampler)
     total = 0.0
     for j0 in range(0, N, _UNIFORM_BLOCK):
         u = _uniforms(seed, stream, j0, min(_UNIFORM_BLOCK, N - j0))
-        for k in range(0, len(u), tables.shots):
-            terms = _shot_terms(sampler, tables, u[k : k + tables.shots])
+        for k in range(0, len(u), sampler.batch_shots):
+            signs, outcomes = _shots(sampler, u[k : k + sampler.batch_shots])
+            terms = signs * outcomes
             if j0 + k == 0:
                 first = terms[0]
             last = terms[-1]

@@ -7,7 +7,7 @@ import numpy as np
 
 from mpfsim.bounds import hoeffding_shots
 from mpfsim.operators import sandwich, spectral_norm
-from mpfsim.sampling import ShotRecord, expected_value, prepare_sampler, shot_rng, single_shot
+from mpfsim.sampling import ShotRecord, expected_value, run_estimator
 from mpfsim.schedules import ExponentSchedule
 from mpfsim.sweep import SuzukiGridCache
 
@@ -153,14 +153,10 @@ def coverage_experiment(mat, rho, O, epsilon, delta, trials, seed):
         raise ValueError("need at least 50 trials for a meaningful coverage estimate")
     n_shots = hoeffding_shots(epsilon, delta).N
     target = expected_value(mat, rho, O)
-    sampler = prepare_sampler(mat, rho, O)
     hits = 0
     for s in range(trials):
-        total = 0.0
-        for j in range(n_shots):
-            rec = single_shot(sampler, shot_rng(seed, s, j))
-            total += rec.sign_product * rec.outcome
-        hits += abs(total / n_shots - target) <= epsilon
+        mean = run_estimator(mat, rho, O, n_shots, seed, stream=s)[1]
+        hits += abs(mean - target) <= epsilon
     return hits / trials
 
 

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 import mpfsim
+import mpfsim.ensembles
 import mpfsim.mpf
+import mpfsim.sampling
 from mpfsim.cli import main
+from mpfsim.sampling import ShotRecord
 from mpfsim.serialize import format_vector, load_mpf_spec
 
 
@@ -74,6 +77,33 @@ def test_matching_solve_failure_exit_3(capsys, monkeypatch):
     code, _, err = run(capsys, "coeffs", "--kind", "matching", "--chi", "1", "--R", "4")
     assert code == 3
     assert "hint: the closed-form kind (--kind cf) always has coefficients" in err
+
+
+def test_failed_shot_check_exit_3(capsys, monkeypatch):
+    single = mpfsim.sampling.single_shot
+
+    def flipped(sampler, rng):
+        rec = single(sampler, rng)
+        return ShotRecord(outcome=rec.outcome, sign_product=-rec.sign_product)
+
+    monkeypatch.setattr(mpfsim.sampling, "single_shot", flipped)
+    code, _, err = run(capsys, "sample")
+    assert code == 3
+    assert err.startswith("error: batched shot (seed=0, stream=0, j=0) differs from single_shot")
+
+
+def test_failed_leaf_check_exit_3(capsys, monkeypatch):
+    single = mpfsim.ensembles.schedule_matrix
+
+    def one_ulp_off(s, H, t):
+        out = single(s, H, t).copy()
+        out.real[0, 0] = np.nextafter(out.real[0, 0], np.inf)
+        return out
+
+    monkeypatch.setattr(mpfsim.ensembles, "schedule_matrix", one_ulp_off)
+    code, _, err = run(capsys, "sample")
+    assert code == 3
+    assert re.match(r"error: .*scale .* differs", err)
 
 
 def test_malformed_flags_exit_2(capsys):

@@ -733,6 +733,42 @@ def test_materialize_equals_one_point_builds_under_emulated_platforms(name, valu
     assert verdict == "ok"
 
 
+CW_PAIRS = ((1, 1), (1, 2), (2, 2), (2, 3))
+
+# The running OpenBLAS kernel, then the bytes of each CW_PAIRS weight vector in
+# hex; run in a fresh process under the given kernel.
+_CW_WEIGHTS = r"""
+import sys
+
+sys.path[:0] = sys.argv[1:3]
+from mpfsim.mpf import cw_coefficients
+from platforms import openblas_core
+from test_mpf import CW_PAIRS
+
+print(openblas_core())
+for chi, K in CW_PAIRS:
+    print(cw_coefficients(chi, K).C.tobytes().hex())
+"""
+
+
+@pytest.mark.parametrize("core", ["Prescott", "Haswell"])
+def test_cw_weights_do_not_depend_on_the_openblas_kernel(core):
+    """cw_coefficients solves its system with LAPACK, so each kernel must give the same bits."""
+    default_core = openblas_core()
+    if default_core is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _CW_WEIGHTS, str(root / "src"), str(root / "tests")],
+        env={**os.environ, "OPENBLAS_CORETYPE": core}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:] + proc.stdout[-2000:]
+    forced, *weights = proc.stdout.split()
+    if forced == default_core:
+        pytest.skip(f"OPENBLAS_CORETYPE={core} selects no other kernel than {forced} here")
+    assert weights == [cw_coefficients(chi, K).C.tobytes().hex() for chi, K in CW_PAIRS]
+
+
 def default_spec(kind, chi, R=3):
     """cw on ells 1..R (powers up to R), or matching / cf on the default nodes +-1, +-2, ..."""
     if kind == "cw":

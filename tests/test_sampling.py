@@ -114,13 +114,8 @@ def test_single_shot_deterministic_case(toy2q):
 
 def test_single_shot_empirical_mean(cw_setup):
     _, _, mat, O, rho = cw_setup
-    sampler = prepare_sampler(mat, rho, O)
     n = 100_000
-    total = 0.0
-    for j in range(n):
-        rec = single_shot(sampler, shot_rng(42, 0, j))
-        total += rec.sign_product * rec.outcome
-    mean = total / n
+    mean = run_estimator(mat, rho, O, n, seed=42)[1]
     target = expected_value(mat, rho, O)
     sigma = 1.0 / np.sqrt(n)  # outcomes bounded by 1
     assert abs(mean - target) <= 3 * sigma
@@ -185,10 +180,8 @@ def test_variance_sanity_pauli_observable(cw_setup):
     _, _, mat, O, rho = cw_setup
     sampler = prepare_sampler(mat, rho, O)
     n = 20_000
-    vals = np.empty(n)
-    for j in range(n):
-        rec = single_shot(sampler, shot_rng(7, 0, j))
-        vals[j] = rec.sign_product * rec.outcome
+    signs, outcomes = mpfsim.sampling._shots(sampler, mpfsim.sampling._uniforms(7, 0, 0, n))
+    vals = signs * outcomes
     target = expected_value(mat, rho, O)
     assert np.var(vals) == pytest.approx(1 - target**2, abs=5 / np.sqrt(n))
 
@@ -237,28 +230,17 @@ def test_mixed_state_shots_unbiased(cw_setup):
     _, _, mat, O, _ = cw_setup
     dm = np.diag([0.5, 0.2, 0.2, 0.1]).astype(complex)
     rho = QuantumState.mixed(dm)
-    sampler = prepare_sampler(mat, rho, O)
     n = 40_000
-    total = 0.0
-    for j in range(n):
-        rec = single_shot(sampler, shot_rng(21, 0, j))
-        total += rec.sign_product * rec.outcome
-    assert total / n == pytest.approx(expected_value(mat, rho, O), abs=3 / np.sqrt(n))
+    mean = run_estimator(mat, rho, O, n, seed=21)[1]
+    assert mean == pytest.approx(expected_value(mat, rho, O), abs=3 / np.sqrt(n))
 
 
 def test_doubling_shots_improves_mean_abs_error(cw_setup):
     _, _, mat, O, rho = cw_setup
     target = expected_value(mat, rho, O)
-    sampler = prepare_sampler(mat, rho, O)
 
     def mean_abs_err(n, trials=40):
-        errs = []
-        for s in range(trials):
-            total = 0.0
-            for j in range(n):
-                rec = single_shot(sampler, shot_rng(33, s, j))
-                total += rec.sign_product * rec.outcome
-            errs.append(abs(total / n - target))
+        errs = [abs(run_estimator(mat, rho, O, n, 33, stream=s)[1] - target) for s in range(trials)]
         return np.mean(errs)
 
     assert mean_abs_err(300) < mean_abs_err(150)
@@ -429,8 +411,8 @@ def test_born_index_matches_reference_on_distinct_outcomes(kind, state):
     # cw's two arms nearly agree, so these shots see only its ancilla-plus outcomes
     assert len({rec.outcome for rec in records}) == (4 if kind == "cw" else 8)
     terms = np.array([rec.sign_product * rec.outcome for rec in references])
-    tables = mpfsim.sampling._batch_tables(sampler)
-    batch = mpfsim.sampling._shot_terms(sampler, tables, mpfsim.sampling._uniforms(13, 2, 0, 600))
+    signs, outcomes = mpfsim.sampling._shots(sampler, mpfsim.sampling._uniforms(13, 2, 0, 600))
+    batch = signs * outcomes
     assert batch.tobytes() == terms.tobytes()
 
 
@@ -475,7 +457,7 @@ def test_run_estimator_mean_is_the_reference_loop_at_batch_edges(kind, state, di
     """Bitwise, so the terms must be added in shot order; +-1 outcomes add exactly in any order."""
     mat, rho, O = reference_sampler(kind, state, distinct_outcome_observable() if distinct else None)
     sampler = prepare_sampler(mat, rho, O)
-    batch = mpfsim.sampling._batch_tables(sampler).shots
+    batch = sampler.batch_shots
     block = mpfsim.sampling._UNIFORM_BLOCK
     assert 1 < batch < block
     sizes = [1, batch - 1, batch, batch + 1, block + 1]
@@ -535,8 +517,9 @@ def test_signed_sum_memory_is_flat_in_the_shot_count(cw_setup):
     assert large <= mpfsim.sampling.BATCH_BYTES
 
 
-# Batched terms against single_shot at every address, for each kind, state
-# and observable; run in a fresh process under the given CPU-feature setting.
+# Batched terms against the reference shot at every address, for each kind,
+# state and observable; run in a fresh process under the given CPU-feature
+# setting.
 _BATCH_EQUALS_SINGLE_SHOT = r"""
 import os
 import sys
@@ -545,6 +528,7 @@ sys.path[:0] = sys.argv[1:3]
 import numpy as np
 import mpfsim.sampling as sampling
 from platforms import cpu_features
+from references import reference_shot
 from test_sampling import distinct_outcome_observable, reference_sampler
 
 still_on = [f for f in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if cpu_features().get(f)]
@@ -555,12 +539,11 @@ for kind in ("cw", "matching", "cf"):
         for O in (None, distinct_outcome_observable()):
             mat, rho, O = reference_sampler(kind, state, O)
             sampler = sampling.prepare_sampler(mat, rho, O)
-            u = sampling._uniforms(13, 2, 0, 600)
-            batch = sampling._shot_terms(sampler, sampling._batch_tables(sampler), u)
-            records = [sampling.single_shot(sampler, sampling.shot_rng(13, 2, j)) for j in range(600)]
-            single = np.array([rec.sign_product * rec.outcome for rec in records])
-            if batch.tobytes() != single.tobytes():
-                raise SystemExit(f"{kind} {state}: batch differs from single_shot")
+            signs, outcomes = sampling._shots(sampler, sampling._uniforms(13, 2, 0, 600))
+            records = [reference_shot(sampler, sampling.shot_rng(13, 2, j)) for j in range(600)]
+            reference = np.array([rec.sign_product * rec.outcome for rec in records])
+            if (signs * outcomes).tobytes() != reference.tobytes():
+                raise SystemExit(f"{kind} {state}: batch differs from reference_shot")
 print("ok")
 """
 
