@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import Method, bound_for, depth_report, resolution_shots, ts_bound
-from .ensembles import materialize
+from .ensembles import materialize, matrices_per_batch
 from .mpf import (
     IllConditionedSystemError,
     MatchingSolveError,
@@ -247,22 +247,38 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+def _distance_curves(H, methods: list[Method], taus: np.ndarray, chi: int, reps: int, specs: dict[Method, MPFSpec]):
+    """Each method's (distances, bounds) over ``taus``, in that order.
+
+    The grid is walked in chunks of :func:`~mpfsim.ensembles.matrices_per_batch`
+    points, outermost, each chunk with its own schedule cache, so the live
+    grid arrays scale with the chunk and not with the grid.  Every tau point
+    is computed independently, so the curves are bitwise the one-chunk ones.
+    """
+    ts = taus / lambda_norm(H)
+    reads = [scale_sizes(specs[m] if m in specs else ts_formula(chi, reps)) for m in methods]
+    per_chunk = matrices_per_batch(H.dim)
+    curves = [([], []) for _ in methods]
+    for lo in range(0, len(taus), per_chunk):
+        chunk = slice(lo, lo + per_chunk)
+        cache = SuzukiGridCache(H, chi, ts[chunk])
+        for i, method in enumerate(methods):
+            cache.keep_only(frozenset().union(*reads[i:]))  # a size lives until its last reader
+            dists, bounds = distance_curve(H, method, taus[chunk], chi, reps, specs.get(method), cache)
+            curves[i][0].append(dists)
+            curves[i][1].append(bounds)
+    return [(np.concatenate(dists), np.concatenate(bounds)) for dists, bounds in curves]
+
+
 def cmd_distance(args) -> int:
     methods = _parse_methods(args.methods)
     taus = _tau_grid(args)
     H = _hamiltonian(args)
     specs = _specs_for(args, methods)
-    lam = lambda_norm(H)
-    cache = SuzukiGridCache(H, args.chi, taus / lam)
-    reads = [scale_sizes(specs[m] if m in specs else ts_formula(args.chi, args.reps)) for m in methods]
     rows = []
     dist_series = {}
     violations = 0
-    for i, method in enumerate(methods):
-        cache.keep_only(frozenset().union(*reads[i:]))  # a size lives until its last reader
-        dists, bvals = distance_curve(
-            H, method, taus, args.chi, args.reps, specs.get(method), cache
-        )
+    for method, (dists, bvals) in zip(methods, _distance_curves(H, methods, taus, args.chi, args.reps, specs)):
         dist_series[method.value] = (list(taus), list(dists))
         for tau, dist, bound in zip(taus, dists, bvals):
             rows.append((float(tau), method.value, float(dist), "distance"))
@@ -340,14 +356,15 @@ def cmd_slope(args) -> int:
     H = _hamiltonian(args)
     lam = lambda_norm(H)
     method = Method(args.method)
+    specs = {}
     if method == Method.TROTTER_SUZUKI:
-        theory, spec = 2 * args.chi + 1, None
+        theory = 2 * args.chi + 1
     else:
-        spec = _default_spec(method.value, args.chi, args.K, args.R)
+        spec = specs[method] = _default_spec(method.value, args.chi, args.K, args.R)
         theory = 2 * (args.chi + args.K) + 1 if spec.kind == "cw" else 2 * args.chi * args.R + 1
 
     def distances(taus):
-        return distance_curve(H, method, taus, args.chi, 1, spec)[0]
+        return _distance_curves(H, [method], taus, args.chi, 1, specs)[0][0]
 
     try:
         fit = fit_order_slope(distances, t_min=args.t_min, t_max=args.t_max)

@@ -45,12 +45,19 @@ __all__ = [
     "SamplingEnsemble",
     "MaterializedEnsemble",
     "materialize",
+    "matrices_per_batch",
     "mixture_mean",
 ]
 
 # Bytes a batch may hold at once: a leaf build's (d, B*d) accumulator here,
-# a batch of shots' working set in :mod:`mpfsim.sampling`.
+# a tau chunk's grid arrays in :mod:`mpfsim.cli`, a batch of shots' working
+# set in :mod:`mpfsim.sampling`.
 BATCH_BYTES = 1 << 20
+
+
+def matrices_per_batch(dim: int) -> int:
+    """How many complex (dim, dim) matrices fit in ``BATCH_BYTES``; at least one."""
+    return max(1, BATCH_BYTES // (16 * dim**2))
 
 
 @dataclass(frozen=True)
@@ -85,7 +92,7 @@ def materialize(ens: SamplingEnsemble, H: HamiltonianSpec, t: float) -> Material
     reads = {size: suzuki_leaf_scales(chi, size) for size in sizes}
     scales = list(dict.fromkeys(y for ys in reads.values() for y in ys))
     largest = max(scales, key=abs)
-    per_chunk = max(1, BATCH_BYTES // (16 * H.dim**2))
+    per_chunk = matrices_per_batch(H.dim)
     leaves: dict[float, np.ndarray] = {}
     built: dict[float, np.ndarray] = {}
     for i in range(0, len(scales), per_chunk):

@@ -12,9 +12,14 @@ five-fold recursion (:func:`~mpfsim.schedules.suzuki_recursion`, which
 batched over every |b|) from S_2 builds batched over the grid; a negative
 node reads S(-|b| t) = S(|b| t)^dagger, which
 :func:`~mpfsim.mpf.mpf_matrices` forms in its scratch buffer (every Suzuki
-formula is palindromic).  An entry lives until its last reader: the
-``distance`` command drops, before each method, every size that neither it
-nor a later method reads.
+formula is palindromic).  The ``distance`` and ``slope`` commands walk
+their tau grid in chunks, each with its own cache, of as many points as
+fit one (d, d) matrix each in the :data:`~mpfsim.ensembles.BATCH_BYTES`
+budget that leaf builds and shot batches share
+(:func:`~mpfsim.ensembles.matrices_per_batch`); every point is computed
+independently, so a chunked curve is bitwise the whole-grid one.  Within a
+chunk an entry lives until its last reader: ``distance`` drops, before
+each method, every size that neither it nor a later method reads.
 """
 
 from __future__ import annotations
