@@ -251,7 +251,10 @@ def test_slope_is_bitwise_the_same_in_every_chunking(capsys, monkeypatch):
 
 
 def test_distance_peak_memory_is_flat_in_the_grid_length(capsys):
-    """free_fermion(200) has d = 200, so a chunk holds one tau point; a whole 60-point grid held about 5x the 8-point peak."""
+    """free_fermion(200) has d = 200, so a chunk holds one tau point.
+
+    Held at once, the whole 60-point grid took about 7x the 8-point peak.
+    """
 
     def peak(points):
         tracemalloc.start()
@@ -334,6 +337,7 @@ def test_distance_chunks_are_bitwise_under_emulated_platforms(name, value):
 
 @pytest.mark.xfail(
     strict=True,
+    raises=AssertionError,
     reason="the Haswell kernel moves the default matching weights at chi 2, R 3 to residual 1.117e-09, "
     "just above the 1e-09 gate (ROADMAP items 13 and 6)",
 )
@@ -354,6 +358,8 @@ def test_default_matching_weights_solve_under_haswell():
         [sys.executable, "-m", "mpfsim.cli", "coeffs", "--kind", "matching", "--chi", "2", "--R", "3"],
         env=env, capture_output=True, text=True, timeout=120,
     )
+    if proc.returncode != 0 and "residual" not in proc.stderr:
+        pytest.fail(f"exit {proc.returncode}, not from the residual gate: {proc.stderr[-2000:]}")
     assert proc.returncode == 0, proc.stderr
 
 
