@@ -13,18 +13,16 @@ sign is the product of the drawn signs, so
 the formula's operator (:func:`mpfsim.mpf.mpf_matrix`).
 :func:`mpfsim.mpf.mpf_ensemble` builds one.
 
-:func:`materialize` builds each S_2chi(|b| t) once by Suzuki's recursion
-(:func:`~mpfsim.schedules.suzuki_recursion`) and answers b < 0 with the
-conjugate transpose S(|b| t)^dagger: every Suzuki formula is palindromic.
-The recursion's S_2 leaves, 2^(chi-1) per distinct |b|
-(:func:`~mpfsim.schedules.suzuki_leaf_scales`), come from one step loop
-over all of their times (:func:`~mpfsim.schedules.schedule_matrices`), cut
-into chunks whose accumulator holds at most ``BATCH_BYTES``; a leaf is
-dropped once every |b| that reads it is built.  Each batched leaf is bit for
-bit the one-point build of its time.  After its chunk the largest leaf is
-rebuilt with :func:`~mpfsim.schedules.schedule_matrix`, and ``RuntimeError``
-is raised if the two differ, which ties the batch to the one-point build on
-the running numpy and BLAS.
+:func:`materialize` reads each S_2chi(|b| t) from a one-point
+:class:`~mpfsim.sweep.SuzukiGridCache`, which builds every distinct |b| in
+one call (:meth:`~mpfsim.sweep.SuzukiGridCache.build`), and answers b < 0
+with the conjugate transpose S(|b| t)^dagger: every Suzuki formula is
+palindromic.  Once the layer stacks exist and the cache is emptied, the
+entry of the largest |b| is rebuilt by Suzuki's recursion
+(:func:`~mpfsim.schedules.suzuki_recursion`) from its 2^(chi-1) S_2 leaves,
+each a one-point :func:`~mpfsim.schedules.schedule_matrix`, and
+``RuntimeError`` is raised if the two differ, which ties the batched build
+to the one-point build on the running numpy and BLAS.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .operators import HamiltonianSpec
-from .schedules import ExponentSchedule, schedule_matrices, schedule_matrix, suzuki_leaf_scales, suzuki_recursion
+from .schedules import ExponentSchedule, schedule_matrix, suzuki_recursion
 
 if TYPE_CHECKING:
     from .mpf import MPFSpec  # mpf imports this module
@@ -49,9 +47,9 @@ __all__ = [
     "mixture_mean",
 ]
 
-# Bytes a batch may hold at once: a leaf build's (d, B*d) accumulator here,
-# a tau chunk's grid arrays in :mod:`mpfsim.cli`, a batch of shots' working
-# set in :mod:`mpfsim.sampling`.
+# Bytes a batch may hold at once: a leaf build's (d, B*d) accumulator in
+# :mod:`mpfsim.sweep`, a tau chunk's grid arrays in :mod:`mpfsim.cli`, a
+# batch of shots' working set in :mod:`mpfsim.sampling`.
 BATCH_BYTES = 1 << 20
 
 
@@ -87,28 +85,15 @@ class MaterializedEnsemble:
 
 def materialize(ens: SamplingEnsemble, H: HamiltonianSpec, t: float) -> MaterializedEnsemble:
     """Evaluate every entry S(b t)^power at time t, building S(|b| t) once per distinct |b|."""
-    chi = ens.spec.chi
-    sizes = list(dict.fromkeys(abs(float(b)) for branch in ens.spec.branches for layer in branch for b in layer.b))
-    reads = {size: suzuki_leaf_scales(chi, size) for size in sizes}
-    scales = list(dict.fromkeys(y for ys in reads.values() for y in ys))
-    largest = max(scales, key=abs)
-    per_chunk = matrices_per_batch(H.dim)
-    leaves: dict[float, np.ndarray] = {}
-    built: dict[float, np.ndarray] = {}
-    for i in range(0, len(scales), per_chunk):
-        chunk = scales[i : i + per_chunk]
-        leaves.update(zip(chunk, schedule_matrices(ens.schedule, H, np.array(chunk) * t)))
-        if largest in chunk and schedule_matrix(ens.schedule, H, largest * t).tobytes() != leaves[largest].tobytes():
-            raise RuntimeError(f"batched S_2 leaf at scale {largest!r} differs from schedule_matrix")
-        # sizes complete in list order, since their leaves are listed in it
-        while len(built) < len(sizes) and all(y in leaves for y in reads[sizes[len(built)]]):
-            size = sizes[len(built)]
-            built[size] = suzuki_recursion(chi, size, leaves.__getitem__)
-        wanted = {y for size in sizes[len(built) :] for y in reads[size]}
-        leaves = {y: leaf for y, leaf in leaves.items() if y in wanted}
+    from .mpf import scale_sizes  # mpf imports this module
+    from .sweep import SuzukiGridCache  # sweep imports mpf
+
+    cache = SuzukiGridCache(H, ens.spec.chi, [t])
+    sizes = scale_sizes(ens.spec)
+    cache.build(sizes)
 
     def entry(b: float, power: int) -> np.ndarray:
-        base = built[abs(b)] if b >= 0 else built[abs(b)].conj().T
+        base = cache(abs(b))[0] if b >= 0 else cache(abs(b))[0].conj().T
         out = base
         for _ in range(power - 1):
             out = out @ base
@@ -128,6 +113,12 @@ def materialize(ens: SamplingEnsemble, H: HamiltonianSpec, t: float) -> Material
         )
         for w, branch in zip(weights, ens.spec.branches)
     )
+    largest = max(sizes)
+    got = cache(largest)[0]
+    cache.keep_only(())
+    check = suzuki_recursion(cache.chi, largest, lambda y: schedule_matrix(ens.schedule, H, y * t))
+    if check.tobytes() != got.tobytes():
+        raise RuntimeError(f"cached entry at scale {largest!r} differs from its schedule_matrix build")
     return MaterializedEnsemble(branches=branches, resolution=ens.spec.resolution, dim=H.dim)
 
 

@@ -580,8 +580,9 @@ def scalar_series(spec: MPFSpec, order: int) -> np.ndarray:
 def mpf_ensemble(spec: MPFSpec, L: int) -> SamplingEnsemble:
     """The formula as a sampling ensemble over the merged S_2 schedule on L terms.
 
-    :func:`~mpfsim.ensembles.materialize` builds each order-2chi entry from
-    that schedule by Suzuki's recursion and reads the distribution from
+    :func:`~mpfsim.ensembles.materialize` reads each order-2chi entry from
+    the schedule cache, which builds it from that schedule by Suzuki's
+    recursion, and reads the distribution from
     ``spec.branches``: entry probabilities |C_q| / ||C||_1 tagged with
     sign(C_q), branches in proportion to the product of their layer 1-norms,
     so that ``resolution * E[sign * V] = mpf_matrix``.

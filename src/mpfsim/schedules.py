@@ -20,9 +20,9 @@ Any other term is applied in its eigenbasis, V diag(exp(-i theta w)) V^dagger,
 as two matrix products.
 
 :func:`suzuki_recursion` builds an order-2chi operator from S_2 operators
-by Suzuki's five-fold recursion; the sweep's grid cache and the sampling
-ensembles both build their S_2chi(b t) through it, and
-:func:`suzuki_leaf_scales` lists the S_2 scales it reads.
+by Suzuki's five-fold recursion; the sweep's grid cache builds every
+S_2chi(b t), for the distance curves and the sampling ensembles alike,
+through it, and :func:`suzuki_leaf_scales` lists the S_2 scales it reads.
 """
 
 from __future__ import annotations

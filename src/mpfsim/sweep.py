@@ -6,20 +6,24 @@ scales 1/r, the Childs-Wiebe nodes 1/l and every block node b share the
 cache) and one exact evolution per grid, and fits order-scaling slopes in an
 adaptive window above the double-precision noise floor.
 
-The cache answers sizes |b| only.  It builds S_2chi(|b| t) by Suzuki's
-five-fold recursion (:func:`~mpfsim.schedules.suzuki_recursion`, which
-:func:`~mpfsim.ensembles.materialize` runs at one time point on S_2 leaves
-batched over every |b|) from S_2 builds batched over the grid; a negative
-node reads S(-|b| t) = S(|b| t)^dagger, which
-:func:`~mpfsim.mpf.mpf_matrices` forms in its scratch buffer (every Suzuki
-formula is palindromic).  The ``distance`` and ``slope`` commands walk
-their tau grid in chunks, each with its own cache, of as many points as
-fit one (d, d) matrix each in the :data:`~mpfsim.ensembles.BATCH_BYTES`
-budget that leaf builds and shot batches share
-(:func:`~mpfsim.ensembles.matrices_per_batch`); every point is computed
-independently, so a chunked curve is bitwise the whole-grid one.  Within a
-chunk an entry lives until its last reader: ``distance`` drops, before
-each method, every size that neither it nor a later method reads.
+The cache answers sizes |b| only, and it is the one builder of the entries:
+:func:`~mpfsim.ensembles.materialize` reads the sampler's from a one-point
+cache.  It builds S_2chi(|b| t) by Suzuki's five-fold recursion
+(:func:`~mpfsim.schedules.suzuki_recursion`) from S_2 leaves batched over
+sizes and grid, as many leaves to a step loop as fit the
+:data:`~mpfsim.ensembles.BATCH_BYTES` budget with the whole grid each, so a
+size's 2^(chi-1) leaves share one loop while they fit (on SYK(10), grids of
+up to 32 points at chi = 2); a negative node reads
+S(-|b| t) = S(|b| t)^dagger, which :func:`~mpfsim.mpf.mpf_matrices` forms
+in its scratch buffer (every Suzuki formula is palindromic).  The
+``distance`` and ``slope`` commands walk their tau grid in chunks, each
+with its own cache, of as many points as fit one (d, d) matrix each in the
+:data:`~mpfsim.ensembles.BATCH_BYTES` budget that leaf builds and shot
+batches share (:func:`~mpfsim.ensembles.matrices_per_batch`); every point
+is computed independently, so a chunked curve is bitwise the whole-grid
+one.  Within a chunk an entry lives until its last reader: ``distance``
+drops, before each method, every size that neither it nor a later method
+reads.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import Method, bound_for, ts_bound
+from .ensembles import matrices_per_batch
 from .mpf import ChildsWiebe, MPFSpec, cw_coefficients
 from .mpf import mpf_matrices as method_matrices
 from .operators import HamiltonianSpec, exact_evolutions, lambda_norm
-from .schedules import merge_adjacent, s2_schedule, schedule_matrices, suzuki_recursion
+from .schedules import merge_adjacent, s2_schedule, schedule_matrices, suzuki_leaf_scales, suzuki_recursion
 
 __all__ = [
     "SuzukiGridCache",
@@ -70,10 +75,11 @@ class SuzukiGridCache:
 
     A lookup takes a size |b| >= 0 and refuses a negative scale: S(b t) for
     b < 0 is the conjugate transpose of the |b| entry, which the caller
-    forms.  S_2chi(|b| t) is built on the first lookup of |b| by
-    :func:`~mpfsim.schedules.suzuki_recursion` from batched S_2 builds:
-    2^(chi-1) of them per |b|, each 2L-1 merged steps long.  ``_cache``
-    holds the entries by size until :meth:`keep_only` drops them.
+    forms.  S_2chi(|b| t) is built on the first lookup of |b|, or ahead of
+    it by :meth:`build`, through :func:`~mpfsim.schedules.suzuki_recursion`
+    from batched S_2 leaves: 2^(chi-1) of them per |b|, each 2L-1 merged
+    steps long.  ``_cache`` holds the entries by size until
+    :meth:`keep_only` drops them.
     """
 
     def __init__(self, H: HamiltonianSpec, chi: int, ts: np.ndarray):
@@ -92,13 +98,40 @@ class SuzukiGridCache:
         return self._exact
 
     def __call__(self, size: float) -> np.ndarray:
-        size = float(size)
-        if not size >= 0:
-            raise ValueError(f"the schedule cache takes a size |b| >= 0, not {size}")
         if size not in self._cache:
-            s2 = merge_adjacent(s2_schedule(self.H.L))
-            self._cache[size] = suzuki_recursion(self.chi, size, lambda y: schedule_matrices(s2, self.H, y * self.ts))
+            self.build([size])
         return self._cache[size]
+
+    def build(self, sizes) -> None:
+        """Build every size in ``sizes`` not held yet, from S_2 leaves batched over sizes and grid.
+
+        The leaf scales of these sizes
+        (:func:`~mpfsim.schedules.suzuki_leaf_scales`) times the grid run
+        through :func:`~mpfsim.schedules.schedule_matrices`, as many leaves
+        to a step loop as fit the :data:`~mpfsim.ensembles.BATCH_BYTES`
+        budget with the whole grid each.  A size is recursed as soon as its
+        leaves are in, and a leaf is dropped once no size still to be built
+        reads it.  A size of 0 is S(0) = I; a negative size raises
+        ``ValueError``.
+        """
+        sizes = [size for size in dict.fromkeys(map(float, sizes)) if size not in self._cache]
+        if not all(size >= 0 for size in sizes):
+            raise ValueError(f"the schedule cache takes sizes |b| >= 0, not {sizes}")
+        reads = {size: suzuki_leaf_scales(self.chi, size) for size in sizes}
+        scales = list(dict.fromkeys(y for ys in reads.values() for y in ys))
+        per_chunk = max(1, matrices_per_batch(self.H.dim) // max(1, len(self.ts)))
+        s2 = merge_adjacent(s2_schedule(self.H.L))
+        leaves: dict[float, np.ndarray] = {}
+        for i in range(0, len(scales), per_chunk):
+            chunk = scales[i : i + per_chunk]
+            built = schedule_matrices(s2, self.H, np.multiply.outer(chunk, self.ts).ravel())
+            leaves.update(zip(chunk, built.reshape(len(chunk), len(self.ts), self.H.dim, self.H.dim)))
+            # sizes complete in list order, since their leaves are listed in it
+            while sizes and all(y in leaves for y in reads[sizes[0]]):
+                size = sizes.pop(0)
+                self._cache[size] = suzuki_recursion(self.chi, size, leaves.__getitem__)
+            wanted = {y for size in sizes for y in reads[size]}
+            leaves = {y: leaf for y, leaf in leaves.items() if y in wanted}
 
     def keep_only(self, sizes) -> None:
         """Drop every entry whose size is not in ``sizes``."""

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import mpfsim.ensembles
 import mpfsim.mpf
+import mpfsim.sweep
 from mpfsim.ensembles import materialize, mixture_mean
 from mpfsim.mpf import (
     BLOCK_MEMO_SIZE,
@@ -104,6 +105,18 @@ def test_solve_vandermonde_residual_invariant(seed, n):
     B = np.vander(b, n, increasing=True).T.astype(np.longdouble)
     resid = B @ C.astype(np.longdouble) - nu
     assert float(np.max(np.abs(resid))) <= 1e-9 * max(1.0, np.max(np.abs(nu)))
+    assert np.sum(C) == pytest.approx(nu[0], abs=1e-10)
+
+
+# The row-0 defect: on these n = 13 systems the accepted weights miss
+# sum(C) == nu[0] by 5.8e-10, 1.9e-10 and 4.1e-10, so the Hypothesis test
+# above fails whenever it draws one of them.  A solver that fixes the defect
+# turns these into passes and the seeds into pinned examples there.
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="row-0 defect of the block-weight solver")
+@pytest.mark.parametrize("seed", [699, 5694, 6082])
+def test_solve_vandermonde_row_zero_defect(seed):
+    b, nu = random_system(seed, 13)
+    C, _ = solve_vandermonde(b, nu)
     assert np.sum(C) == pytest.approx(nu[0], abs=1e-10)
 
 
@@ -584,7 +597,7 @@ def test_expected_value_matches_enumeration(kind):
 
 def test_materialize_builds_each_distinct_operator_once(toy, monkeypatch):
     batches, checks = [], []
-    batched, single = mpfsim.ensembles.schedule_matrices, mpfsim.ensembles.schedule_matrix
+    batched, single = mpfsim.sweep.schedule_matrices, mpfsim.ensembles.schedule_matrix
 
     def counting_batch(s, H, ts):
         batches.append(np.array(ts))
@@ -594,7 +607,7 @@ def test_materialize_builds_each_distinct_operator_once(toy, monkeypatch):
         checks.append(t)
         return single(s, H, t)
 
-    monkeypatch.setattr(mpfsim.ensembles, "schedule_matrices", counting_batch)
+    monkeypatch.setattr(mpfsim.sweep, "schedule_matrices", counting_batch)
     monkeypatch.setattr(mpfsim.ensembles, "schedule_matrix", counting_check)
     chi = 2
     spec = spec_from_b("cf", chi, 2, default_initial_b(chi, 2, "cf"))
@@ -607,10 +620,11 @@ def test_materialize_builds_each_distinct_operator_once(toy, monkeypatch):
     assert len(sizes) == 5
     leaves = {y for size in sizes for y in suzuki_leaf_scales(chi, size)}
     assert len(leaves) == 2 ** (chi - 1) * len(sizes)
-    # one batch over every leaf time, and one one-point check of the largest
+    # one step loop over every leaf time, and one-point check builds of the leaves of the largest size
     assert len(batches) == 1
     assert sorted(batches[0].tolist()) == sorted(y * t for y in leaves)
-    assert checks == [max(leaves, key=abs) * t]
+    assert checks == [y * t for y in suzuki_leaf_scales(chi, max(sizes))]
+    assert len(checks) == 2 ** (chi - 1)
     monkeypatch.undo()
     cache = SuzukiGridCache(toy, chi, np.array([t]))
     entries = {}

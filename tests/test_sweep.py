@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import mpfsim.cli
+import mpfsim.ensembles
 import mpfsim.sweep
 from mpfsim.bounds import Method
 from mpfsim.cli import main
@@ -26,6 +27,7 @@ from mpfsim.sweep import (
     ts_matrices,
 )
 from references import reference_mpf_matrices
+from test_schedules import ZOO
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +89,35 @@ def test_keep_only_drops_the_other_sizes(toy):
     assert cache(0.5) is kept
 
 
+@pytest.mark.parametrize("chi", [2, 3])
+@pytest.mark.parametrize("model", sorted(ZOO))
+def test_build_of_many_sizes_is_bitwise_the_one_size_caches(model, chi, monkeypatch):
+    """Leaves batched over sizes and grid, one, three or all of them per step loop, change no bit of an entry."""
+    H = ZOO[model]()
+    ts = np.array([0.05, 0.9])
+    sizes = [7.0, 0.5, 1 / 3]
+    n_leaves = len(sizes) * 2 ** (chi - 1)
+    loops = []
+
+    def counting(sched, H, ts):
+        loops.append(len(ts))
+        return schedule_matrices(sched, H, ts)
+
+    monkeypatch.setattr(mpfsim.sweep, "schedule_matrices", counting)
+    monkeypatch.setattr(mpfsim.ensembles, "BATCH_BYTES", 1)
+    one_size = {size: SuzukiGridCache(H, chi, ts)(size) for size in sizes}
+    assert loops == [len(ts)] * n_leaves
+    for budget, per_loop in ((1, 1), (3 * len(ts) * 16 * H.dim**2, 3), (1 << 62, n_leaves)):
+        monkeypatch.setattr(mpfsim.ensembles, "BATCH_BYTES", budget)
+        loops.clear()
+        cache = SuzukiGridCache(H, chi, ts)
+        cache.build(sizes)
+        assert loops == [len(ts) * min(per_loop, n_leaves - i) for i in range(0, n_leaves, per_loop)]
+        assert list(cache._cache) == sizes
+        for size in sizes:
+            assert cache(size).tobytes() == one_size[size].tobytes(), (budget, size)
+
+
 def test_distance_builds_two_s2_grids_per_node_magnitude(monkeypatch, capsys):
     builds = []
 
@@ -101,10 +132,13 @@ def test_distance_builds_two_s2_grids_per_node_magnitude(monkeypatch, capsys):
     ]
     assert main(argv) == 0
     capsys.readouterr()
-    # the default chi = 2, R = 3 formulas use |b| = 1..7, 1/2 and 1/3
-    assert len(builds) == 2 * 9
+    # the default chi = 2, R = 3 formulas use |b| = 1..7, 1/2 and 1/3: each
+    # size's two S_2 leaves share one step loop over 2 x 3 leaf times
+    assert len(builds) == 9
     assert all(steps == 2 * L - 1 for steps, L, _ in builds)
-    assert len({grid for _, _, grid in builds}) == len(builds)
+    times = [t for _, _, grid in builds for t in grid]
+    assert len(times) == 2 * 9 * 3
+    assert len(set(times)) == len(times)
 
 
 # The default chi = 2, reps = 3 formulas: ts reads 1/3, cw 1, 1/2 and 1/3,
@@ -148,8 +182,11 @@ def test_distance_keeps_a_size_only_until_its_last_reader(order, monkeypatch, ca
         read_before = set().union(*(DEFAULT_SIZES[m] for m in methods[:i]))
         read_from_here = set().union(*(DEFAULT_SIZES[m] for m in methods[i:]))
         assert set(sizes) == read_before & read_from_here, method
-    assert len(builds) == 2 * 9  # each size built once, two S_2 grids each
-    assert len(set(builds)) == len(builds)
+    # each size built once, in one step loop over its two S_2 leaves at 3 tau
+    assert len(builds) == 9
+    times = [t for grid in builds for t in grid]
+    assert len(times) == 2 * 9 * 3
+    assert len(set(times)) == len(times)
 
 
 @pytest.mark.parametrize(
