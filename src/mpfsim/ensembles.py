@@ -47,9 +47,10 @@ __all__ = [
     "mixture_mean",
 ]
 
-# Bytes a batch may hold at once: a leaf build's (d, B*d) accumulator in
-# :mod:`mpfsim.sweep`, a tau chunk's grid arrays in :mod:`mpfsim.cli`, a
-# batch of shots' working set in :mod:`mpfsim.sampling`.
+# Bytes a batch may hold at once: a leaf build's (d, B*w) accumulator (w <= d
+# columns per row, see :func:`~mpfsim.schedules.schedule_matrices`) and
+# (B, d, d) output in :mod:`mpfsim.sweep`, a tau chunk's grid arrays in
+# :mod:`mpfsim.cli`, a batch of shots' working set in :mod:`mpfsim.sampling`.
 BATCH_BYTES = 1 << 20
 
 

@@ -12,6 +12,7 @@ here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -175,7 +176,10 @@ class HamiltonianSpec:
     """Ordered decomposition H = sum_k h_k of dense Hermitian terms.
 
     ``total`` carries the eigendecomposition of the summed matrix, used by
-    :func:`exact_evolution`.
+    :func:`exact_evolution`.  ``block_columns`` is the partition of the rows
+    into blocks that every term's exponential leaves invariant, derived once
+    (see :func:`_block_columns`); the schedule step loop keeps only those
+    columns of each row.
     """
 
     terms: tuple[HermitianTerm, ...]
@@ -185,6 +189,41 @@ class HamiltonianSpec:
     @property
     def L(self) -> int:
         return len(self.terms)
+
+    @cached_property
+    def block_columns(self) -> np.ndarray:
+        return _block_columns(self.terms, self.dim)
+
+
+def _block_columns(terms: tuple[HermitianTerm, ...], dim: int) -> np.ndarray:
+    """(dim, w): row i lists the columns of its invariant block in ascending order, then -1s.
+
+    The blocks are the connected components of the rows linked i -- cols_i
+    by the rotation terms, so every product of their exponentials is block
+    diagonal; w is the widest block's size.  A term applied in its
+    eigenbasis links every row.  Read-only; one block of width dim is a
+    broadcast view.
+    """
+    rows = np.arange(dim)
+    labels = np.zeros(dim, dtype=int)
+    if all(term.rotation is not None for term in terms):
+        links = np.stack([term.rotation[0] for term in terms])
+        labels = rows
+        while True:  # each row takes the least label it reaches; at most dim rounds
+            new = np.minimum(labels, labels[links].min(axis=0))
+            if np.array_equal(new, labels):
+                break
+            labels = new
+    _, block = np.unique(labels, return_inverse=True)
+    if block.max() == 0:
+        return np.broadcast_to(rows, (dim, dim))  # no (dim, dim) table for one block
+    sizes = np.bincount(block)
+    members = np.argsort(block, kind="stable")
+    table = np.full((len(sizes), sizes.max()), -1)
+    table[block[members], rows - np.repeat(np.cumsum(sizes) - sizes, sizes)] = members
+    out = table[block]
+    out.setflags(write=False)
+    return out
 
 
 def hamiltonian(terms, label: str = "H") -> HamiltonianSpec:

@@ -19,6 +19,21 @@ diagonal entries and zero rows (cols_i = i, v_i = 0) share that formula.
 Any other term is applied in its eigenbasis, V diag(exp(-i theta w)) V^dagger,
 as two matrix products.
 
+Rows linked by some rotation term's cols form invariant blocks
+(``HamiltonianSpec.block_columns``), and every product of rotation
+exponentials is block diagonal.  So row i of the accumulator keeps only
+the columns of its block, in ascending order, then zero padding up to w,
+the widest block's size plus one.  cols_i lies in row i's block, so the
+gather lines up entry for entry, and each stored entry sees exactly the
+operations of the full-width loop.  An entry outside row i's block would
+see what a padding entry of row i sees, so the last column (padding in
+every row) carries the signed zero the full-width loop leaves there, and
+the rows are scattered into the (B, d, d) output once at the end: the
+output is bitwise the full-width loop's.  SYK's even terms conserve parity
+(2 blocks of d/2); Hubbard's conserve more (25 blocks, the widest 36 of
+256).  A Hamiltonian with an eigenbasis term, or with one block spanning
+all rows, runs at w = d with no padding.
+
 :func:`suzuki_recursion` builds an order-2chi operator from S_2 operators
 by Suzuki's five-fold recursion; the sweep's grid cache builds every
 S_2chi(b t), for the distance curves and the sampling ensembles alike,
@@ -151,15 +166,24 @@ def schedule_matrix(s: ExponentSchedule, H: HamiltonianSpec, t: float) -> np.nda
 def schedule_matrices(s: ExponentSchedule, H: HamiltonianSpec, ts: np.ndarray) -> np.ndarray:
     """The schedule's operator at every time of a grid, shape (B, d, d).
 
-    The accumulator is kept as a (d, B*d) column-stacked block, so a row
-    rotation step scales whole rows and an eigenbasis step costs two large
-    GEMMs instead of 2B small ones (see the module docstring).
+    The accumulator is kept as a (d, B*w) column-stacked block: row i holds
+    the columns of its invariant block, then padding, so a row rotation
+    step scales whole rows of only those entries (see the module
+    docstring).  When one block spans all rows, w = d: the accumulator is
+    the full operator, an eigenbasis step costs two large GEMMs instead of
+    2B small ones, and the result is a transposed view of it.
     """
     if s.L != H.L:
         raise ValueError(f"schedule addresses {s.L} terms, Hamiltonian has {H.L}")
     ts = np.asarray(ts, dtype=float)
-    d, B = H.dim, len(ts)
-    acc = np.tile(np.eye(d, dtype=complex), (1, B))
+    blocks = H.block_columns
+    d, B, w = H.dim, len(ts), blocks.shape[1]
+    blocked = w < d
+    if blocked:
+        # one padding column more, for the entries outside each row's block
+        blocks = np.pad(blocks, ((0, 0), (0, 1)), constant_values=-1)
+        w += 1
+    acc = np.tile(blocks == np.arange(d)[:, None], (1, B)).astype(complex)
     for k, a in reversed(s.steps):
         term = H.terms[k]
         if term.rotation is None:
@@ -169,9 +193,15 @@ def schedule_matrices(s: ExponentSchedule, H: HamiltonianSpec, ts: np.ndarray) -
             continue
         cols, mag, phase = term.rotation
         angle = np.outer(mag, a * ts)
-        x = acc.reshape(d, B, d)
+        x = acc.reshape(d, B, w)
         gathered = x[cols]
         gathered *= (np.sin(angle) * (-1j * phase)[:, None])[:, :, None]
         x *= np.cos(angle)[:, :, None]
         x += gathered
-    return acc.reshape(d, B, d).transpose(1, 0, 2)
+    x = acc.reshape(d, B, w)
+    if blocked:
+        rows, pos = np.nonzero(blocks >= 0)
+        out = np.repeat(x[:, :, -1:], d, axis=2)
+        out[rows, :, blocks[rows, pos]] = x[rows, :, pos]
+        x = out
+    return x.transpose(1, 0, 2)

@@ -19,6 +19,34 @@ def s1_schedule(L):
     return ExponentSchedule(tuple((k, 1.0) for k in range(L)), L=L)
 
 
+def full_width_schedule_matrices(s, H, ts):
+    """``mpfsim.schedules.schedule_matrices`` as it ran before it kept only the columns of each row's block.
+
+    Every step updates all d^2 entries of every point.  The two must give
+    the same bits, signed zeros included.
+    """
+    if s.L != H.L:
+        raise ValueError(f"schedule addresses {s.L} terms, Hamiltonian has {H.L}")
+    ts = np.asarray(ts, dtype=float)
+    d, B = H.dim, len(ts)
+    acc = np.tile(np.eye(d, dtype=complex), (1, B))
+    for k, a in reversed(s.steps):
+        term = H.terms[k]
+        if term.rotation is None:
+            x = (term.eigenvectors.conj().T @ acc).reshape(d, B, d)
+            x *= np.exp(-1j * np.outer(term.eigenvalues, a * ts))[:, :, None]
+            acc = term.eigenvectors @ x.reshape(d, B * d)
+            continue
+        cols, mag, phase = term.rotation
+        angle = np.outer(mag, a * ts)
+        x = acc.reshape(d, B, d)
+        gathered = x[cols]
+        gathered *= (np.sin(angle) * (-1j * phase)[:, None])[:, :, None]
+        x *= np.cos(angle)[:, :, None]
+        x += gathered
+    return acc.reshape(d, B, d).transpose(1, 0, 2)
+
+
 def reference_mpf_matrices(spec, H, ts, cache=None):
     """sum_branches prod_layers sum_q C_q S(b_q t)^power_q with a fresh array per term and product.
 

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mpfsim.operators
 from mpfsim.models import anticommuting, free_fermion, heisenberg, hubbard_2x2, syk
 from mpfsim.operators import exact_evolution, hamiltonian, hermitian_term, pauli_string, spectral_distance
 from mpfsim.schedules import (
@@ -19,7 +24,8 @@ from mpfsim.schedules import (
     suzuki_recursion,
     suzuki_schedule,
 )
-from references import s1_schedule
+from platforms import cpu_features
+from references import full_width_schedule_matrices, s1_schedule
 
 X = pauli_string("X")
 Y = pauli_string("Y")
@@ -253,6 +259,7 @@ HAND_TERMS = {
     "y_type": np.kron(Y, Z),
     "fixed_points_and_pairs": np.kron(np.diag([1.0, 0.0]), X) + np.kron(np.diag([0.0, -0.6]), np.eye(2)),
     "two_per_row": X + Z,
+    "pair_and_fixed_point": np.pad(0.8 * Y, ((0, 1), (0, 1))) + np.diag([0.0, 0.0, 1.5]),
 }
 
 
@@ -267,8 +274,12 @@ def test_hand_built_terms_match_expm(name):
         assert spectral_distance(got[i], expm_product(s, H, t)) <= 1e-13
 
 
+def mixed_hamiltonian():
+    return hamiltonian([X + Z, Y, np.diag([0.3, -0.3]).astype(complex)])
+
+
 def test_rotation_and_eigenbasis_steps_mix_in_one_loop():
-    H = hamiltonian([X + Z, Y, np.diag([0.3, -0.3]).astype(complex)])
+    H = mixed_hamiltonian()
     assert [term.rotation is None for term in H.terms] == [True, False, False]
     s = merge_adjacent(suzuki_schedule(2, 3))
     for t in (0.8, -0.25):
@@ -280,4 +291,110 @@ def test_schedule_matrix_is_the_one_point_batch(model):
     H = ZOO[model]()
     s = merge_adjacent(s2_schedule(H.L))
     for t in (0.3, -1.1):
-        assert np.array_equal(schedule_matrix(s, H, t), schedule_matrices(s, H, [t])[0])
+        assert schedule_matrix(s, H, t).tobytes() == schedule_matrices(s, H, [t])[0].tobytes()
+
+
+def diagonal_hamiltonian():
+    return hamiltonian([np.diag([0.5, -0.25, 0.0, 2.0]), np.diag([1.0, 0.0, -0.7, 0.3])])
+
+
+# Every zoo model and a one-term Hamiltonian of every hand-built term.
+IDENTITY_MODELS = {
+    **ZOO,
+    **{f"hand_{name}": (lambda m=m: hamiltonian([m])) for name, m in HAND_TERMS.items()},
+    "mixed": mixed_hamiltonian,
+    "diagonal": diagonal_hamiltonian,
+}
+# Negative, zero and positive times; beyond |angle| = pi/2 a cosine turns
+# negative, which is where the full-width loop leaves -0 outside the blocks.
+IDENTITY_TIMES = np.array([-0.9, 0.0, 0.37, 3.0, -7.5, 1.7, 12.0, -2.2, 0.5, 40.0, -40.0, 2.9, -0.01, 6.3, 100.0, 1e-3])
+
+
+def assert_block_loop_is_full_width(model):
+    """schedule_matrices against the full-width loop by bytes and strides, at B = 1, 3 and 16."""
+    H = IDENTITY_MODELS[model]()
+    s = merge_adjacent(s2_schedule(H.L))
+    for ts in (IDENTITY_TIMES[:1], IDENTITY_TIMES[1:2], IDENTITY_TIMES[2:3], IDENTITY_TIMES[:3], IDENTITY_TIMES):
+        got, want = schedule_matrices(s, H, ts), full_width_schedule_matrices(s, H, ts)
+        assert got.strides == want.strides, f"{model} at B = {len(ts)}"
+        assert got.tobytes() == want.tobytes(), f"{model} at B = {len(ts)}"
+
+
+@pytest.mark.parametrize("model", sorted(IDENTITY_MODELS))
+def test_block_loop_equals_the_full_width_loop(model):
+    assert_block_loop_is_full_width(model)
+
+
+# The byte-identity check in a fresh process with numpy's widest SIMD loops off.
+_BLOCK_LOOP_UNDER_EMULATION = r"""
+import os
+import sys
+
+sys.path[:0] = sys.argv[1:3]
+from platforms import cpu_features
+from test_schedules import IDENTITY_MODELS, assert_block_loop_is_full_width
+
+still_on = [f for f in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if cpu_features().get(f)]
+if still_on:
+    raise SystemExit(f"features not disabled: {still_on}")
+for model in sorted(IDENTITY_MODELS):
+    assert_block_loop_is_full_width(model)
+print("ok")
+"""
+
+
+def test_block_loop_equals_the_full_width_loop_without_avx512():
+    """The two layouts put an entry at other offsets, so it may fall in a SIMD body in one and a tail in the other."""
+    features = "X86_V4 AVX512_ICL AVX512_SPR"
+    missing = [f for f in features.split() if not cpu_features().get(f)]
+    if missing:
+        pytest.skip(f"numpy found no {missing} on this machine")
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _BLOCK_LOOP_UNDER_EMULATION, str(root / "src"), str(root / "tests")],
+        env={**os.environ, "NPY_DISABLE_CPU_FEATURES": features}, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:] + proc.stdout[-2000:]
+    assert proc.stdout.split() == ["ok"]
+
+
+# (widest block, number of blocks); d and 1 where one block spans all rows.
+PARTITIONS = {
+    "syk8": (8, 2),
+    "hubbard": (36, 25),
+    "heisenberg4": (16, 1),
+    "anticommuting": (128, 1),
+    "free_fermion8": (8, 1),
+    "free_fermion7": (7, 1),
+    "diagonal": (1, 4),
+    "mixed": (2, 1),
+}
+
+
+@pytest.mark.parametrize("model", sorted(PARTITIONS))
+def test_invariant_blocks(model):
+    H = IDENTITY_MODELS[model]()
+    blocks = H.block_columns
+    assert (blocks.shape[1], len(np.unique(blocks, axis=0))) == PARTITIONS[model]
+    assert not blocks.flags.writeable
+    assert (blocks.strides[0] == 0) == (PARTITIONS[model][1] == 1)  # one block: no (d, d) table
+    # each row lists its block ascending, itself included, and every member lists the same block
+    for i, block in enumerate(blocks):
+        members = block[block >= 0]
+        assert i in members and np.all(np.diff(members) > 0) and np.all(block[len(members):] == -1)
+        assert np.all(blocks[members] == block)
+    for term in H.terms:
+        if term.rotation is not None:
+            assert np.array_equal(blocks[term.rotation[0]], blocks)
+
+
+def test_invariant_blocks_are_derived_once_per_hamiltonian(monkeypatch):
+    calls = []
+    derive = mpfsim.operators._block_columns
+    monkeypatch.setattr(mpfsim.operators, "_block_columns", lambda *args: calls.append(args) or derive(*args))
+    H = ZOO["syk8"]()
+    s = merge_adjacent(s2_schedule(H.L))
+    for t in (0.3, -1.1):
+        schedule_matrices(s, H, [t])
+    assert len(calls) == 1
+    assert H.block_columns is H.block_columns
