@@ -56,11 +56,15 @@ BOUNDS_DEPTH_TERMS = 8  # term count L for the merged depth that `bounds` report
 
 
 def _read_b_file(path: str) -> list[np.ndarray]:
+    """One node vector per non-blank line, ``#`` starting a comment; every entry finite."""
     vectors = []
-    for raw in Path(path).read_text().splitlines():
+    for number, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            vectors.append(np.array([float(x) for x in line.split()]))
+            vector = np.array([float(x) for x in line.split()])
+            if not np.all(np.isfinite(vector)):
+                raise ValueError(f"{path}, line {number}: node entries must be finite")
+            vectors.append(vector)
     if not vectors:
         raise ValueError(f"no node vectors found in {path}")
     return vectors

@@ -9,7 +9,7 @@ import itertools
 
 import numpy as np
 
-from .operators import HamiltonianSpec, hamiltonian, hermitian_term, pauli_string
+from .operators import HamiltonianSpec, hamiltonian, pauli_string
 
 __all__ = [
     "build_model",
@@ -45,15 +45,12 @@ def heisenberg(n: int) -> HamiltonianSpec:
         labels[i] = p
         return pauli_string(labels)
 
-    terms = [
-        hermitian_term(
-            -(two_site("X", i, j) + two_site("Y", i, j) + two_site("Z", i, j)),
-            label=f"bond({i},{j})",
-        )
-        for i, j in bonds
-    ]
-    terms.append(hermitian_term(2.0 * sum(one_site("X", i) for i in range(n)), label="field"))
-    return hamiltonian(terms, label=f"heisenberg(n={n})")
+    def terms():
+        for i, j in bonds:
+            yield f"bond({i},{j})", -(two_site("X", i, j) + two_site("Y", i, j) + two_site("Z", i, j))
+        yield "field", 2.0 * sum(one_site("X", i) for i in range(n))
+
+    return hamiltonian(terms(), label=f"heisenberg(n={n})")
 
 
 def anticommuting() -> HamiltonianSpec:
@@ -61,13 +58,15 @@ def anticommuting() -> HamiltonianSpec:
 
     Terms i = 0..6 are Z^i (X+Y) I^(6-i); the eighth is Z^7.
     """
-    terms = []
-    for i in range(7):
-        x = pauli_string(["Z"] * i + ["X"] + ["I"] * (6 - i))
-        y = pauli_string(["Z"] * i + ["Y"] + ["I"] * (6 - i))
-        terms.append(hermitian_term(x + y, label=f"anti[{i}]"))
-    terms.append(hermitian_term(pauli_string(["Z"] * 7), label="anti[7]"))
-    return hamiltonian(terms, label="anticommuting")
+
+    def terms():
+        for i in range(7):
+            x = pauli_string(["Z"] * i + ["X"] + ["I"] * (6 - i))
+            y = pauli_string(["Z"] * i + ["Y"] + ["I"] * (6 - i))
+            yield f"anti[{i}]", x + y
+        yield "anti[7]", pauli_string(["Z"] * 7)
+
+    return hamiltonian(terms(), label="anticommuting")
 
 
 def jw_majorana(p: int, n_majorana: int) -> np.ndarray:
@@ -104,15 +103,17 @@ def syk(N: int, seed: int) -> HamiltonianSpec:
         raise ValueError("N must be even and >= 4")
     if N > 16:
         raise ValueError("dense path supports N <= 16")
+    return hamiltonian(_syk_terms(N, seed), label=f"syk(N={N},seed={seed})")
+
+
+def _syk_terms(N: int, seed: int):
+    """SYK's ``(label, matrix)`` pairs, one coupling drawn per pair as it is made."""
     rng = np.random.default_rng(seed)
     gammas = [jw_majorana(p, N) for p in range(N)]
     sigma = np.sqrt(6.0 / N**3)
-    terms = []
     for p, q, r, s in itertools.combinations(range(N), 4):
         J = rng.normal(0.0, sigma)
-        mat = 0.25 * J * (gammas[p] @ gammas[q] @ gammas[r] @ gammas[s])
-        terms.append(hermitian_term(mat, label=f"J({p},{q},{r},{s})"))
-    return hamiltonian(terms, label=f"syk(N={N},seed={seed})")
+        yield f"J({p},{q},{r},{s})", 0.25 * J * (gammas[p] @ gammas[q] @ gammas[r] @ gammas[s])
 
 
 HUBBARD_T, HUBBARD_U, HUBBARD_MU, HUBBARD_H = 2.0, 2.0, 0.25, 0.5
@@ -135,21 +136,18 @@ def hubbard_2x2() -> HamiltonianSpec:
     def num(p: int) -> np.ndarray:
         return a[p].conj().T @ a[p]
 
-    terms = []
-    for i, j in bonds:
-        for spin, spin_name in ((0, "up"), (1, "dn")):
-            p, q = 2 * i + spin, 2 * j + spin
-            hop = a[p].conj().T @ a[q]
-            terms.append(hermitian_term(-HUBBARD_T * (hop + hop.conj().T), label=f"hop({i},{j},{spin_name})"))
-    for i in range(n_sites):
-        terms.append(
-            hermitian_term(HUBBARD_U * (num(2 * i) @ num(2 * i + 1)), label=f"coulomb({i})")
-        )
-    total_n = sum(num(p) for p in range(n_modes))
-    terms.append(hermitian_term(-HUBBARD_MU * total_n, label="chemical"))
-    spin_imbalance = sum(num(2 * i) - num(2 * i + 1) for i in range(n_sites))
-    terms.append(hermitian_term(-HUBBARD_H * spin_imbalance, label="field"))
-    return hamiltonian(terms, label="hubbard")
+    def terms():
+        for i, j in bonds:
+            for spin, spin_name in ((0, "up"), (1, "dn")):
+                p, q = 2 * i + spin, 2 * j + spin
+                hop = a[p].conj().T @ a[q]
+                yield f"hop({i},{j},{spin_name})", -HUBBARD_T * (hop + hop.conj().T)
+        for i in range(n_sites):
+            yield f"coulomb({i})", HUBBARD_U * (num(2 * i) @ num(2 * i + 1))
+        yield "chemical", -HUBBARD_MU * sum(num(p) for p in range(n_modes))
+        yield "field", -HUBBARD_H * sum(num(2 * i) - num(2 * i + 1) for i in range(n_sites))
+
+    return hamiltonian(terms(), label="hubbard")
 
 
 def free_fermion(n_sites: int) -> tuple[np.ndarray, HamiltonianSpec]:
@@ -162,21 +160,21 @@ def free_fermion(n_sites: int) -> tuple[np.ndarray, HamiltonianSpec]:
     """
     if n_sites < 3:
         raise ValueError("need n_sites >= 3")
-    h = np.zeros((n_sites, n_sites))
-    even = np.zeros_like(h)
-    odd = np.zeros_like(h)
-    for i in range(n_sites):
-        j = (i + 1) % n_sites
-        h[i, j] += 1.0
-        h[j, i] += 1.0
-        target = even if i % 2 == 0 else odd
-        target[i, j] += 1.0
-        target[j, i] += 1.0
-    spec = hamiltonian(
-        [hermitian_term(even, label="even-bonds"), hermitian_term(odd, label="odd-bonds")],
-        label=f"free_fermion(n={n_sites})",
-    )
-    return h, spec
+
+    def bonds(first: int) -> np.ndarray:
+        """The hopping matrix of the bonds (i, i + 1) with i = first, first + 2, ..."""
+        out = np.zeros((n_sites, n_sites))
+        for i in range(first, n_sites, 2):
+            j = (i + 1) % n_sites
+            out[i, j] += 1.0
+            out[j, i] += 1.0
+        return out
+
+    def terms():
+        yield "even-bonds", bonds(0)
+        yield "odd-bonds", bonds(1)
+
+    return bonds(0) + bonds(1), hamiltonian(terms(), label=f"free_fermion(n={n_sites})")
 
 
 MODEL_NAMES = ("heisenberg", "anticommuting", "syk", "hubbard", "free_fermion")

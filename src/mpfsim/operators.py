@@ -1,12 +1,14 @@
 """Dense complex operator algebra.
 
 Everything downstream works with dense ``numpy`` arrays: Pauli strings,
-Hermitian Hamiltonian terms (each with its row rotation or, failing that,
-its eigendecomposition), exact time evolution, spectral distances,
-observables and states.  The benchmark models cap out at 8 qubits / a
-200-dimensional single-particle matrix, so dense linear algebra is the
-right regime; there is deliberately no sparse or tensor-network machinery
-here.
+Hermitian Hamiltonian terms, exact time evolution, spectral distances,
+observables and states.  A term keeps its row rotation (its row entries,
+no dense matrix) or, failing that, its matrix and eigendecomposition;
+:func:`hamiltonian` takes the model's matrices one at a time, so no list
+of all dense term matrices is ever alive.  The benchmark models cap out at
+8 qubits / a 200-dimensional single-particle matrix, so dense linear
+algebra is the right regime; there is deliberately no sparse or
+tensor-network machinery here.
 """
 
 from __future__ import annotations
@@ -78,22 +80,35 @@ class HermitianTerm:
     ``rotation`` is ``(cols, |v|, v/|v|)`` when every row of the matrix holds
     at most one nonzero (see :func:`_row_rotation`), else None.  The schedule
     step loop exponentiates a rotation term without an eigenbasis, so such a
-    term holds ``eigenvalues = eigenvectors = None`` and ``norm = max|v|``;
-    any other term holds its eigendecomposition, computed once.  The total of
-    a :class:`HamiltonianSpec` always holds its eigendecomposition.
+    term holds ``eigenvalues = eigenvectors = None``, ``norm = max|v|`` and,
+    in place of its dense matrix, only its row entries v (``entries``);
+    :attr:`matrix` rebuilds the matrix from them on each read.  Any other
+    term holds its matrix (``dense``) and its eigendecomposition, computed
+    once.  The total of a :class:`HamiltonianSpec` always holds both.
     Instances are immutable.
     """
 
-    matrix: np.ndarray
     label: str
     norm: float
     eigenvalues: np.ndarray | None
     eigenvectors: np.ndarray | None
     rotation: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+    dense: np.ndarray | None = field(default=None, repr=False)
+    entries: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The term's matrix, read-only; a rotation term builds a fresh one from v_i at (i, cols_i)."""
+        if self.dense is not None:
+            return self.dense
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        out[np.arange(self.dim), self.rotation[0]] = self.entries
+        out.setflags(write=False)
+        return out
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return (self.dense if self.dense is not None else self.entries).shape[0]
 
 
 def _hermitian(a, what: str) -> np.ndarray:
@@ -118,8 +133,8 @@ def _hermitian(a, what: str) -> np.ndarray:
     return a
 
 
-def _row_rotation(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """``(cols, |v|, v/|v|)`` of a Hermitian matrix with at most one nonzero per row.
+def _row_rotation(a: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray] | None:
+    """``((cols, |v|, v/|v|), v)`` of a Hermitian matrix with at most one nonzero per row.
 
     Such a matrix is a direct sum of 1x1 and 2x2 blocks: row i holds its one
     entry v_i at column cols_i, and a zero row takes cols_i = i, v_i = 0 (its
@@ -139,28 +154,29 @@ def _row_rotation(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | 
     v[rows == cols] = upper[rows == cols].real
     mag = np.abs(v)
     phase = np.divide(v, mag, out=np.zeros_like(v), where=mag > 0)
-    for x in (cols, mag, phase):
+    for x in (cols, mag, phase, v):
         x.setflags(write=False)
-    return cols, mag, phase
+    return (cols, mag, phase), v
 
 
 def hermitian_term(matrix: np.ndarray, label: str = "") -> HermitianTerm:
     """Validate (see :func:`_hermitian`) and wrap a copy of a Hermitian matrix.
 
-    A row-rotation term keeps its rotation and no eigenbasis; see
-    :class:`HermitianTerm`.  The term freezes its own copy; the caller's
-    array stays writable.
+    A row-rotation term keeps its rotation and row entries, and neither its
+    matrix nor an eigenbasis; see :class:`HermitianTerm`.  The term freezes
+    its own copy; the caller's array stays writable.
     """
     return _term(matrix, label, eigenbasis=False)
 
 
 def _term(matrix, label: str, eigenbasis: bool) -> HermitianTerm:
-    """:func:`hermitian_term`, with ``eigenbasis=True`` forcing the eigendecomposition."""
+    """:func:`hermitian_term`, with ``eigenbasis=True`` forcing the matrix and eigendecomposition."""
     matrix = _hermitian(np.array(matrix, dtype=complex), f"term {label!r}")
     matrix.setflags(write=False)
-    rotation = _row_rotation(matrix)
-    if rotation is not None and not eigenbasis:
-        return HermitianTerm(matrix, label, float(rotation[1].max()), None, None, rotation)
+    found = _row_rotation(matrix)
+    rotation = None if found is None else found[0]
+    if found is not None and not eigenbasis:
+        return HermitianTerm(label, float(rotation[1].max()), None, None, rotation, entries=found[1])
     try:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
@@ -168,7 +184,7 @@ def _term(matrix, label: str, eigenbasis: bool) -> HermitianTerm:
     w = w.astype(float)
     w.setflags(write=False)
     v.setflags(write=False)
-    return HermitianTerm(matrix, label, float(np.max(np.abs(w))), w, v, rotation)
+    return HermitianTerm(label, float(np.max(np.abs(w))), w, v, rotation, dense=matrix)
 
 
 @dataclass(frozen=True)
@@ -227,20 +243,34 @@ def _block_columns(terms: tuple[HermitianTerm, ...], dim: int) -> np.ndarray:
 
 
 def hamiltonian(terms, label: str = "H") -> HamiltonianSpec:
-    """Assemble a :class:`HamiltonianSpec` from matrices or HermitianTerms."""
+    """Assemble a :class:`HamiltonianSpec` from Hermitian matrices, taken one at a time.
+
+    Each item of ``terms`` is a matrix, labelled ``label[i]``, or a
+    ``(label, matrix)`` pair; a generator keeps only one model matrix alive.
+    Each becomes a term by :func:`hermitian_term`, and is added as given
+    into a running total in the order ``0 + m0 + m1 + ...``; after that the
+    term keeps only what its kind needs.  The total then takes its
+    eigendecomposition.
+    """
     wrapped = []
-    for i, t in enumerate(terms):
-        if isinstance(t, HermitianTerm):
-            wrapped.append(t)
+    total = None
+    for i, item in enumerate(terms):
+        if isinstance(item, tuple) and len(item) == 2 and isinstance(item[0], str):
+            term_label, matrix = item
         else:
-            wrapped.append(hermitian_term(t, label=f"{label}[{i}]"))
-    if not wrapped:
+            term_label, matrix = f"{label}[{i}]", item
+        matrix = np.asarray(matrix, dtype=complex)
+        term = hermitian_term(matrix, label=term_label)
+        if total is None:
+            total = 0 + matrix
+        elif term.dim != total.shape[0]:
+            raise ValueError("all terms must share one dimension")
+        else:
+            total += matrix
+        wrapped.append(term)
+    if total is None:
         raise ValueError("a Hamiltonian needs at least one term")
-    dim = wrapped[0].dim
-    if any(t.dim != dim for t in wrapped):
-        raise ValueError("all terms must share one dimension")
-    total = _term(sum(t.matrix for t in wrapped), label, eigenbasis=True)
-    return HamiltonianSpec(terms=tuple(wrapped), dim=dim, total=total)
+    return HamiltonianSpec(terms=tuple(wrapped), dim=total.shape[0], total=_term(total, label, eigenbasis=True))
 
 
 def exact_evolution(H: HamiltonianSpec, t: float) -> np.ndarray:

@@ -116,14 +116,14 @@ def default_initial_b(chi: int, R: int, kind: str) -> list[np.ndarray]:
 def loss(b_list, kind: str, chi: int, R: int, config: OptimizerConfig) -> float:
     """Loss of a candidate node set; +inf encodes every failure mode.
 
-    Entries outside the box and ill-conditioned weight systems, repeated
-    entries within a block among them, all return +inf, which the simplex
-    search treats as an ordinary (terrible) value.  Unset config fields take
-    their per-kind defaults.
+    Entries outside the box, non-finite entries and ill-conditioned weight
+    systems, repeated entries within a block among them, all return +inf,
+    which the simplex search treats as an ordinary (terrible) value.  Unset
+    config fields take their per-kind defaults.
     """
     config = _resolve(config, kind, chi, R)
     for b in b_list:
-        if np.max(np.abs(b)) > config.b_max:
+        if not np.max(np.abs(b)) <= config.b_max:  # NaN fails too
             return math.inf
     try:
         spec = spec_from_b(kind, chi, R, b_list)

@@ -1,12 +1,13 @@
 """Brute-force references and paper formulas the tests check the program code against."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from mpfsim.bounds import hoeffding_shots
-from mpfsim.operators import sandwich, spectral_norm
+from mpfsim.operators import HamiltonianSpec, _hermitian, sandwich, spectral_norm
 from mpfsim.sampling import ShotRecord, expected_value, run_estimator
 from mpfsim.schedules import ExponentSchedule
 from mpfsim.sweep import SuzukiGridCache
@@ -45,6 +46,77 @@ def full_width_schedule_matrices(s, H, ts):
         x *= np.cos(angle)[:, :, None]
         x += gathered
     return acc.reshape(d, B, d).transpose(1, 0, 2)
+
+
+@dataclass(frozen=True)
+class ReferenceTerm:
+    """A Hamiltonian term as :func:`reference_hamiltonian` builds it: every term keeps its dense matrix."""
+
+    matrix: np.ndarray
+    label: str
+    norm: float
+    eigenvalues: np.ndarray | None
+    eigenvectors: np.ndarray | None
+    rotation: tuple[np.ndarray, np.ndarray, np.ndarray] | None
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+def _reference_row_rotation(a):
+    nonzero = a != 0
+    if np.any(np.count_nonzero(nonzero, axis=1) > 1):
+        return None
+    rows = np.arange(a.shape[0])
+    cols = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), rows)
+    if np.any(cols[cols] != rows):
+        return None
+    upper = a[np.minimum(rows, cols), np.maximum(rows, cols)]
+    v = np.where(rows < cols, upper, upper.conj())
+    v[rows == cols] = upper[rows == cols].real
+    mag = np.abs(v)
+    phase = np.divide(v, mag, out=np.zeros_like(v), where=mag > 0)
+    for x in (cols, mag, phase):
+        x.setflags(write=False)
+    return cols, mag, phase
+
+
+def _reference_term(matrix, label, eigenbasis):
+    matrix = _hermitian(np.array(matrix, dtype=complex), f"term {label!r}")
+    matrix.setflags(write=False)
+    rotation = _reference_row_rotation(matrix)
+    if rotation is not None and not eigenbasis:
+        return ReferenceTerm(matrix, label, float(rotation[1].max()), None, None, rotation)
+    try:
+        w, v = np.linalg.eigh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise ValueError(f"term {label!r}: eigendecomposition failed: {exc}") from exc
+    w = w.astype(float)
+    w.setflags(write=False)
+    v.setflags(write=False)
+    return ReferenceTerm(matrix, label, float(np.max(np.abs(w))), w, v, rotation)
+
+
+def reference_hamiltonian(terms, label="H"):
+    """``mpfsim.operators.hamiltonian`` as it ran before it took its terms one at a time.
+
+    Every term is built first and keeps its dense matrix, and the total is
+    ``sum()`` over the terms' matrices.  Items are matrices or
+    ``(label, matrix)`` pairs, as the models hand them.  The two must give
+    the same bits.
+    """
+    wrapped = []
+    for i, t in enumerate(terms):
+        term_label, t = t if isinstance(t, tuple) else (f"{label}[{i}]", t)
+        wrapped.append(_reference_term(t, term_label, eigenbasis=False))
+    if not wrapped:
+        raise ValueError("a Hamiltonian needs at least one term")
+    dim = wrapped[0].dim
+    if any(t.dim != dim for t in wrapped):
+        raise ValueError("all terms must share one dimension")
+    total = _reference_term(sum(t.matrix for t in wrapped), label, eigenbasis=True)
+    return HamiltonianSpec(terms=tuple(wrapped), dim=dim, total=total)
 
 
 def reference_mpf_matrices(spec, H, ts, cache=None):

@@ -73,6 +73,17 @@ def test_coeffs_b_file(capsys, tmp_path):
     assert "--b-file" in err
 
 
+@pytest.mark.parametrize("entry", ["inf", "nan", "-inf"])
+def test_coeffs_b_file_rejects_a_non_finite_entry(capfd, tmp_path, entry):
+    b_file = tmp_path / "nodes.txt"
+    b_file.write_text(f"1 -1 2 -2 3\n# a comment\n1 -1 {entry} -2 3\n1 -1 2 -2 3\n")
+    code = main(["coeffs", "--kind", "cf", "--chi", "1", "--R", "2", "--b-file", str(b_file)])
+    out, err = capfd.readouterr()  # file-descriptor level, where LAPACK and numpy warnings write
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {b_file}, line 3: node entries must be finite\n"
+
+
 def test_matching_solve_failure_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(mpfsim.mpf, "MATCHING_MAX_ITERATIONS", 1)
     monkeypatch.setattr(mpfsim.mpf, "MATCHING_RESIDUAL_TARGET", 1e-300)

@@ -1,8 +1,11 @@
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import mpfsim.models
 from mpfsim.models import (
     anticommuting,
     build_model,
@@ -13,8 +16,9 @@ from mpfsim.models import (
     jw_majorana,
     syk,
 )
-from mpfsim.operators import lambda_norm, observable, pauli_string, spectral_norm
-from references import reference_term_norm
+from mpfsim.operators import hamiltonian, lambda_norm, observable, pauli_string, spectral_norm
+from references import reference_hamiltonian, reference_term_norm
+from test_schedules import HAND_TERMS
 
 ZOO = {
     "heisenberg6": lambda: heisenberg(6),
@@ -223,3 +227,66 @@ def test_syk_build_runs_one_eigh_and_no_svd(monkeypatch):
     H = syk(8, seed=5)
     assert calls == {"eigh": 1, "svd": 0}
     assert H.total.eigenvectors is not None
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", [*sorted(ZOO), *(f"hand_{n}" for n in sorted(HAND_TERMS))])
+def test_streamed_build_equals_the_per_term_reference_bitwise(name, monkeypatch):
+    """Each zoo model and hand-built term, against the build that kept every term's matrix."""
+    if name in ZOO:
+        H = ZOO[name]()
+        monkeypatch.setattr(mpfsim.models, "hamiltonian", reference_hamiltonian)
+        ref = ZOO[name]()
+    else:
+        H = hamiltonian([HAND_TERMS[name[len("hand_") :]]])
+        ref = reference_hamiltonian([HAND_TERMS[name[len("hand_") :]]])
+    assert [t.label for t in H.terms] == [t.label for t in ref.terms]
+    assert _same_bytes([t.norm for t in H.terms], [t.norm for t in ref.terms])
+    for term, want in zip(H.terms, ref.terms):
+        assert (term.rotation is None) == (want.rotation is None)
+        if term.rotation is None:
+            for got, exp in ((term.matrix, want.matrix), (term.eigenvalues, want.eigenvalues), (term.eigenvectors, want.eigenvectors)):
+                assert _same_bytes(got, exp)
+            continue
+        assert all(_same_bytes(got, exp) for got, exp in zip(term.rotation, want.rotation))
+        assert term.dense is None and term.eigenvectors is None
+        matrix = term.matrix
+        nonzero = want.matrix != 0
+        assert np.array_equal(matrix[nonzero], want.matrix[nonzero]) and not np.any(matrix[~nonzero])
+        assert not matrix.flags.writeable and term.matrix is not matrix  # built on each read
+    assert _same_bytes(H.block_columns, ref.block_columns)
+    for attr in ("matrix", "eigenvalues", "eigenvectors"):
+        assert _same_bytes(getattr(H.total, attr), getattr(ref.total, attr))
+
+
+def _build_memory(build):
+    """(retained, peak) bytes that tracemalloc sees across ``build()``, its result still held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        spec = build()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert spec.L == 210
+    return retained, peak
+
+
+def test_syk_build_holds_no_term_matrix_at_any_point(monkeypatch):
+    """SYK(10)'s 210 dense term matrices take 3.4 MB; the build keeps under 1 MiB throughout."""
+    limit = 1 << 20
+    syk(10, seed=3)  # imports and first-call caches are not the build's
+    retained, peak = _build_memory(lambda: syk(10, seed=3))
+    assert retained < limit and peak < limit
+    # Building every term's matrix first and dropping them after the build:
+    # the spec keeps nothing more, but the build peaks above the limit.
+    retained, peak = _build_memory(lambda: hamiltonian(list(mpfsim.models._syk_terms(10, 3))))
+    assert retained < limit < peak
+    # Terms that keep their matrices retain them all.
+    monkeypatch.setattr(mpfsim.models, "hamiltonian", reference_hamiltonian)
+    retained, _ = _build_memory(lambda: syk(10, seed=3))
+    assert retained > limit

@@ -44,6 +44,16 @@ def test_loss_penalizes_out_of_box():
     assert loss(b, "matching", 1, 2, cfg) == math.inf
 
 
+def test_loss_penalizes_non_finite_nodes():
+    # NaN compares False against the box, so the box test must be a negated <=
+    assert loss([np.full(13, np.nan)] * 4, "cf", 2, 3, OptimizerConfig()) == math.inf
+    b = default_initial_b(1, 2, "matching")
+    b[0][2] = np.nan
+    assert loss(b, "matching", 1, 2, OptimizerConfig()) == math.inf
+    b[0][2] = -np.inf
+    assert loss(b, "matching", 1, 2, OptimizerConfig()) == math.inf
+
+
 def test_loss_p_zero_bound_kind_is_pure_bound():
     from mpfsim.bounds import new_bound, zeta_matching
 

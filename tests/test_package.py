@@ -1,10 +1,15 @@
 import ast
 import importlib
 import math
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
+
+import pytest
 
 import mpfsim
 
@@ -86,3 +91,18 @@ def test_readme_library_example_runs():
     exec(compile(block, "README.md", "exec"), namespace)
     assert namespace["plan"].N == 8198
     assert math.isfinite(namespace["estimate"])
+
+
+@pytest.mark.parametrize("script", sorted(path.name for path in (ROOT / "scripts").glob("*.py")))
+def test_script_help_exits_zero(script):
+    """Each script imports, parses its flags and prints its usage in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
