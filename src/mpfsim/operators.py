@@ -173,10 +173,9 @@ def _term(matrix, label: str, eigenbasis: bool) -> HermitianTerm:
     """:func:`hermitian_term`, with ``eigenbasis=True`` forcing the matrix and eigendecomposition."""
     matrix = _hermitian(np.array(matrix, dtype=complex), f"term {label!r}")
     matrix.setflags(write=False)
-    found = _row_rotation(matrix)
-    rotation = None if found is None else found[0]
-    if found is not None and not eigenbasis:
-        return HermitianTerm(label, float(rotation[1].max()), None, None, rotation, entries=found[1])
+    rotation, entries = _row_rotation(matrix) or (None, None)
+    if rotation is not None and not eigenbasis:
+        return HermitianTerm(label, float(rotation[1].max()), None, None, rotation, entries=entries)
     try:
         w, v = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
