@@ -13,6 +13,7 @@ early (a broken pipe).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -137,9 +138,16 @@ def _add_curve_flags(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--svg", default=None)
 
 
+def _check_window(lo: float, hi: float, flags: str) -> None:
+    """Reject a log-grid window unless it is finite with 0 < lo < hi; NaN fails every comparison."""
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"{flags} must be finite with 0 < min < max, got {lo!r} and {hi!r}")
+
+
 def _tau_grid(args) -> np.ndarray:
-    if args.tau_min <= 0 or args.tau_max <= args.tau_min or args.tau_points < 2:
-        raise ValueError("tau grid must be positive, ascending, with >= 2 points")
+    _check_window(args.tau_min, args.tau_max, "--tau-min and --tau-max")
+    if args.tau_points < 2:
+        raise ValueError("--tau-points must be >= 2")
     return np.logspace(np.log10(args.tau_min), np.log10(args.tau_max), args.tau_points)
 
 
@@ -300,6 +308,8 @@ def cmd_distance(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if not math.isfinite(args.tau):
+        raise ValueError(f"--tau must be finite, got {args.tau!r}")
     H = _hamiltonian(args)
     if args.mpf_file:
         spec = load_mpf_spec(args.mpf_file)
@@ -357,6 +367,7 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_slope(args) -> int:
+    _check_window(args.t_min, args.t_max, "--t-min and --t-max")
     H = _hamiltonian(args)
     lam = lambda_norm(H)
     method = Method(args.method)

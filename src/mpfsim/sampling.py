@@ -20,18 +20,24 @@ shots can run in any order or in parallel.  A shot takes its five uniforms
 in one draw: branch and combination of each arm, then the Born sample.
 
 One function, :func:`_shots`, draws every shot: it takes the uniforms of
-many shots as the rows of one array, picks both arms' branches and
-combinations with ``np.searchsorted`` and Born samples them together.
-:func:`single_shot` is its batch of one.  :func:`run_estimator` runs its
-shots in batches: a batch draws the uniforms of many addresses at once, with
+many shots as the rows of one array and picks both arms' branches and
+combinations for all of them at once, with ``np.searchsorted``, as rows of
+one amplitude table that holds every branch's combinations.  It then Born
+samples them in batches of ``batch_shots`` rows: each shot's threshold is
+the fifth uniform times its row's sum, the prefix sums of the rows are
+``np.cumsum``'s, added in its order but across shots in an outcome-major
+copy, and they are compared with the threshold only where a run of equal
+outcomes ends, so a Pauli observable costs two comparisons a shot.
+:func:`single_shot` is its batch of one.  :func:`run_estimator` hands it one
+block of shots at a time: a block's uniforms come from one pass of
 Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
 SC'11) written in numpy uint64 arithmetic, and the signed outcomes are added
 in shot order, so the estimate is bit for bit that of a per-shot loop and
-does not depend on the batch size.  The working set of a batch, uniforms
-included, is capped at :data:`~mpfsim.ensembles.BATCH_BYTES`, so memory does
-not grow with the shot count.  After the batches the estimator recomputes
-its first and last shot with :func:`single_shot` and raises
-``RuntimeError`` if either differs from the batch's.  That ties the batched
+does not depend on the block or batch size.  The working set of a block,
+uniforms included, is capped at :data:`~mpfsim.ensembles.BATCH_BYTES`, so
+memory does not grow with the shot count.  After the blocks the estimator
+recomputes its first and last shot with :func:`single_shot` and raises
+``RuntimeError`` if either differs from the block's.  That ties the batched
 Philox to numpy's own generator on the running platform, and a row of a
 many-row batch to a batch of one.
 """
@@ -58,14 +64,17 @@ __all__ = [
 
 DENSITY_DIM_CAP = 64
 DEFAULT_COMBO_CAP = 10**6
-# Shots whose uniforms one Philox pass draws; its few hundred numpy calls
-# cost about the same at any length, so it runs ahead of smaller Born batches.
+# Shots whose uniforms one Philox pass draws and whose arms one draw picks;
+# their numpy calls cost about the same at any length, so a block runs ahead
+# of smaller Born batches.
 _UNIFORM_BLOCK = 2048
 
 _M32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 # Philox4x64 multipliers and Weyl key increments (Salmon et al., SC'11)
-_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_M = tuple(
+    (np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)) for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+)
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 
 
@@ -87,7 +96,13 @@ class PreparedSampler:
     branch_cum: np.ndarray
     branches: tuple[_PreparedBranch, ...]
     eigenvalues: np.ndarray
-    outcomes: np.ndarray  # (ancilla +, eigenvalue i) then (ancilla -, i)
+    amps: np.ndarray  # every branch's combo_amps in branch order; those are views of it
+    signs: np.ndarray  # every branch's combo_signs, likewise
+    offsets: np.ndarray  # each branch's first row in amps and signs
+    # The outcomes run (ancilla +, eigenvalue i) then (ancilla -, i): the last
+    # index of each run of equal outcomes but the final run, and each run's outcome.
+    run_ends: np.ndarray
+    run_outcomes: np.ndarray
     batch_shots: int  # shots one Born batch holds
 
 
@@ -97,33 +112,47 @@ def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable)
     Combinations run in lexicographic order of their per-layer entry indices,
     layer 0 most significant.  Each branch's table grows from the last layer
     outwards, so every amplitude is M_0 (M_1 (... (M_last F))) for the state
-    factor F.
+    factor F; the branches' tables are rows of one array, written in place.
     """
     if rho.dim != mat.dim or O.dim != mat.dim:
         raise ValueError("dimension mismatch")
     if rho.factor.shape[1] > 1 and rho.dim > DENSITY_DIM_CAP:
         raise ValueError(f"density-matrix sampling capped at dim {DENSITY_DIM_CAP}")
+    sizes = [math.prod(len(p) for p in br.layer_probs) for br in mat.branches]
+    if max(sizes) > DEFAULT_COMBO_CAP:
+        raise ValueError(f"enumeration cap exceeded: {max(sizes)}")
+    offsets = np.cumsum([0, *sizes])
+    dim, rank = rho.factor.shape
+    table = np.empty((offsets[-1], dim, rank), dtype=complex)
+    table_signs = np.empty(offsets[-1])
     basis = O.eigenvectors.conj().T
     branches = []
-    for br in mat.branches:
-        n_combos = math.prod(len(p) for p in br.layer_probs)
-        if n_combos > DEFAULT_COMBO_CAP:
-            raise ValueError(f"enumeration cap exceeded: {n_combos}")
+    for br, lo, hi in zip(mat.branches, offsets, offsets[1:]):
         probs, signs, vecs = np.ones(1), np.ones(1), rho.factor[None]
         for p, s, m in reversed(list(zip(br.layer_probs, br.layer_signs, br.layer_matrices))):
             probs = np.multiply.outer(p, probs).ravel()
             signs = np.multiply.outer(s, signs).ravel()
-            vecs = (m[:, None] @ vecs[None]).reshape(-1, *rho.factor.shape)
-        branches.append(_PreparedBranch(np.cumsum(probs), signs, basis @ vecs))
-    dim, rank = rho.factor.shape
-    # gathered arms, their sum and difference, |.|^2 by rank, and the Born rows
-    per_shot = 16 * 4 * dim * rank + 8 * 2 * dim * rank + 3 * 8 * 2 * dim
+            vecs = (m[:, None] @ vecs[None]).reshape(-1, dim, rank)
+        np.matmul(basis, vecs, out=table[lo:hi])
+        table_signs[lo:hi] = signs
+        branches.append(_PreparedBranch(np.cumsum(probs), table_signs[lo:hi], table[lo:hi]))
+    outcomes = np.concatenate([O.eigenvalues, -O.eigenvalues])
+    bits = outcomes.view(np.uint64)  # so +0.0 and -0.0 keep runs of their own
+    run_ends = np.flatnonzero(bits[1:] != bits[:-1])
+    # every array of a Born batch: the gathered arms and their difference,
+    # |.|^2 by rank, the Born rows in three layouts and five per-shot vectors
+    per_shot = 16 * 3 * dim * rank + 8 * 2 * dim * rank + 8 * 3 * 2 * dim + 40
     return PreparedSampler(
         branch_cum=np.cumsum([br.probability for br in mat.branches]),
         branches=tuple(branches),
         eigenvalues=O.eigenvalues.copy(),
-        outcomes=np.concatenate([O.eigenvalues, -O.eigenvalues]),
-        batch_shots=max(1, (BATCH_BYTES - 40 * _UNIFORM_BLOCK) // per_shot),
+        amps=table,
+        signs=table_signs,
+        offsets=offsets[:-1],
+        run_ends=run_ends,
+        run_outcomes=outcomes[np.append(run_ends, -1)],
+        # a block's uniforms, table rows and outcomes stay live
+        batch_shots=max(1, (BATCH_BYTES - 64 * _UNIFORM_BLOCK) // per_shot),
     )
 
 
@@ -132,36 +161,65 @@ def _pick(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.minimum(np.searchsorted(cum, u * cum[-1]), len(cum) - 1)
 
 
+def _born_runs(probs: np.ndarray, threshold: np.ndarray, run_ends: np.ndarray) -> np.ndarray:
+    """For each row, how many run ends have a prefix sum of probs below threshold.
+
+    That is the run holding the first index whose prefix sum reaches the
+    threshold, since prefix sums of non-negative terms do not fall.  The
+    prefix sums are ``np.cumsum``'s, added in its sequential order, but
+    across all rows at once in an outcome-major copy.
+    """
+    cols = np.ascontiguousarray(probs[:, : run_ends[-1] + 1].T)
+    below = np.empty((len(run_ends), len(threshold)), dtype=bool)
+    acc = cols[0]  # the running sum, in place of the copy's first row
+    start = 1
+    for end, out in zip(run_ends, below):
+        for row in cols[start : end + 1]:
+            acc += row
+        np.less(acc, threshold, out=out)
+        start = end + 1
+    return np.count_nonzero(below, axis=0)
+
+
+def _draw(sampler: PreparedSampler, u: np.ndarray) -> np.ndarray:
+    """(2, n) rows of ``sampler.amps``: each arm's branch, then its combination in it, for all n shots at once."""
+    branch = _pick(sampler.branch_cum, u[:, 0:4:2].T)
+    rows = np.empty(branch.shape, dtype=np.intp)
+    for b, br in enumerate(sampler.branches):
+        drawn = branch == b
+        rows[drawn] = _pick(br.combo_cum, u[:, 1:4:2].T[drawn]) + sampler.offsets[b]
+    return rows
+
+
 def _shots(sampler: PreparedSampler, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sign, outcome) of the shots whose five uniforms are the rows of u.
 
-    Each arm picks a branch and then a combination in it; the two arms'
-    amplitudes give the Born probabilities of (ancilla +, eigenvalue i) then
-    (ancilla -, i), and the fifth uniform picks one.
+    Both arms are drawn for all rows at once; the two arms' amplitudes give
+    the Born probabilities of (ancilla +, eigenvalue i) then (ancilla -, i),
+    and the fifth uniform picks one, ``batch_shots`` rows at a time.
     """
-    n = len(u)
-    gathered = np.empty((2, n, *sampler.branches[0].combo_amps.shape[1:]), dtype=complex)
-    signs = np.ones(n)
-    for arm in range(2):
-        branch = _pick(sampler.branch_cum, u[:, 2 * arm])
-        for b, br in enumerate(sampler.branches):
-            rows = np.flatnonzero(branch == b)
-            combo = _pick(br.combo_cum, u[rows, 2 * arm + 1])
-            gathered[arm, rows] = br.combo_amps[combo]
-            signs[rows] *= br.combo_signs[combo]
-    arms = np.empty((n, 2, *gathered.shape[2:]), dtype=complex)
-    np.add(gathered[0], gathered[1], out=arms[:, 0])
-    np.subtract(gathered[0], gathered[1], out=arms[:, 1])
-    del gathered
-    # row sums and cumsums run along the contiguous last axis
-    probs = np.abs(arms)
-    del arms
-    probs **= 2
-    probs = probs.sum(axis=3).reshape(n, -1)
-    probs *= 0.25
-    below = np.cumsum(probs, axis=1) < (u[:, 4] * probs.sum(axis=1))[:, None]
-    idx = np.minimum(np.count_nonzero(below, axis=1), len(sampler.outcomes) - 1)
-    return signs, sampler.outcomes[idx]
+    rows = _draw(sampler, u)
+    outcomes = np.empty(len(u))
+    for k in range(0, len(u), sampler.batch_shots):
+        # (arm, shot, eigenvalue, rank), then the arms' sum and difference in
+        # its place: ufuncs write a contiguous output without a buffer
+        arms = np.take(sampler.amps, rows[:, k : k + sampler.batch_shots], axis=0)
+        m = arms.shape[1]
+        minus = arms[0] - arms[1]
+        arms[0] += arms[1]
+        arms[1] = minus
+        del minus
+        probs = np.abs(arms)
+        del arms
+        probs **= 2
+        # sums run along the contiguous last axis: the rank, then each shot's Born row
+        probs = probs.sum(axis=3)
+        probs *= 0.25
+        probs = np.ascontiguousarray(probs.transpose(1, 0, 2)).reshape(m, -1)
+        threshold = u[k : k + m, 4] * probs.sum(axis=1)
+        outcomes[k : k + m] = sampler.run_outcomes[_born_runs(probs, threshold, sampler.run_ends)]
+    arm_signs = sampler.signs[rows]
+    return arm_signs[0] * arm_signs[1], outcomes
 
 
 def single_shot(sampler: PreparedSampler, rng: np.random.Generator) -> ShotRecord:
@@ -201,13 +259,29 @@ def shot_rng(seed: int, stream: int, shot: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low words of the 128-bit products m * x, from 32-bit limbs."""
-    m0, m1 = m & _M32, m >> _S32
-    x0, x1 = x & _M32, x >> _S32
-    p01, p10 = m0 * x1, m1 * x0
-    mid = (m0 * x0 >> _S32) + (p01 & _M32) + (p10 & _M32)
-    return m1 * x1 + (p01 >> _S32) + (p10 >> _S32) + (mid >> _S32), m * x
+def _mulhilo(m: tuple[np.uint64, np.uint64, np.uint64], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low words of the 128-bit products m * x, for m given as (m, low limb, high limb).
+
+    Schoolbook multiplication on 32-bit limbs (Warren, Hacker's Delight,
+    mulhu), every partial sum below 2^64.
+    """
+    mm, m0, m1 = m
+    x0 = x & _M32
+    hi = x >> _S32
+    lo = x * mm
+    t = x0 * m0
+    t >>= _S32
+    x0 *= m1
+    x0 += t  # m1 x0 + carry of m0 x0
+    np.bitwise_and(x0, _M32, out=t)
+    x0 >>= _S32
+    mid = hi * m0
+    t += mid  # m0 x1 + low half of the above
+    hi *= m1
+    hi += x0
+    t >>= _S32
+    hi += t
+    return hi, lo
 
 
 def _uniforms(seed: int, stream: int, j0: int, n: int) -> np.ndarray:
@@ -230,28 +304,27 @@ def _uniforms(seed: int, stream: int, j0: int, n: int) -> np.ndarray:
             hi0, lo0 = _mulhilo(_PHILOX_M[0], ctr[0])
             hi1, lo1 = _mulhilo(_PHILOX_M[1], ctr[2])
             ctr = [hi1 ^ ctr[1] ^ k0, lo1, hi0 ^ ctr[3] ^ k1, lo0]
-    words = np.empty((n, 5), dtype=np.uint64)
+    words = np.empty((5, n), dtype=np.uint64)
     for w in range(4):
-        words[:, w] = ctr[w][0]
-    words[:, 4] = ctr[0][1]
+        words[w] = ctr[w][0]
+    words[4] = ctr[0][1]
     words >>= np.uint64(11)
-    return words * (1.0 / 9007199254740992.0)
+    # shot-major as the rows of a generator's draws, each uniform's column contiguous
+    return (words * (1.0 / 9007199254740992.0)).T
 
 
 def _signed_sum(sampler: PreparedSampler, N: int, seed: int, stream: int) -> float:
     """Sum of sign * outcome over shots 0..N-1 of one estimator stream, added in shot order."""
     total = 0.0
     for j0 in range(0, N, _UNIFORM_BLOCK):
-        u = _uniforms(seed, stream, j0, min(_UNIFORM_BLOCK, N - j0))
-        for k in range(0, len(u), sampler.batch_shots):
-            signs, outcomes = _shots(sampler, u[k : k + sampler.batch_shots])
-            terms = signs * outcomes
-            if j0 + k == 0:
-                first = terms[0]
-            last = terms[-1]
-            # a sequential running sum, as the per-shot loop adds
-            terms[0] += total
-            total = np.cumsum(terms)[-1]
+        signs, outcomes = _shots(sampler, _uniforms(seed, stream, j0, min(_UNIFORM_BLOCK, N - j0)))
+        terms = signs * outcomes
+        if j0 == 0:
+            first = terms[0]
+        last = terms[-1]
+        # a sequential running sum, as the per-shot loop adds
+        terms[0] += total
+        total = np.cumsum(terms)[-1]
     for j, term in ((0, first), (N - 1, last)):
         rec = single_shot(sampler, shot_rng(seed, stream, j))
         if rec.sign_product * rec.outcome != term:

@@ -96,7 +96,11 @@ def load_mpf_spec(path: str | Path) -> MPFSpec:
             spec = cw_coefficients(chi, int(kv["K"]), ells)
         elif kind in NODE_KINDS:
             R = int(kv["R"])
-            b_list = [_vector(kv[f"b{i}"]) for i in range(NODE_KINDS[kind].first_block, R + 1)]
+            b_list = []
+            for i in range(NODE_KINDS[kind].first_block, R + 1):
+                b_list.append(_vector(kv[f"b{i}"]))
+                if not np.all(np.isfinite(b_list[-1])):
+                    raise ValueError(f"{path}, key b{i}: node entries must be finite")
             spec = spec_from_b(kind, chi, R, b_list)
         else:
             raise ValueError(f"unknown spec kind {kind!r}")

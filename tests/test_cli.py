@@ -84,6 +84,25 @@ def test_coeffs_b_file_rejects_a_non_finite_entry(capfd, tmp_path, entry):
     assert err == f"error: {b_file}, line 3: node entries must be finite\n"
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf"])
+def test_spec_file_with_a_non_finite_node_is_rejected_by_file_and_key(capfd, tmp_path, entry):
+    spec_file = tmp_path / "cf.mpf"
+    assert main(["coeffs", "--kind", "cf", "--chi", "1", "--R", "2", "--out", str(spec_file)]) == 0
+    capfd.readouterr()
+    lines = spec_file.read_text().splitlines()
+    spec_file.write_text("\n".join(f"b1 = 1 -1 {entry} -2 3" if x.startswith("b1 = ") else x for x in lines) + "\n")
+    csv = tmp_path / "d.csv"
+    code = main([
+        "distance", "--model", "toy", "--methods", "cf", "--cf-file", str(spec_file),
+        "--chi", "1", "--reps", "2", "--tau-points", "3", "--csv", str(csv),
+    ])
+    out, err = capfd.readouterr()  # file-descriptor level, where LAPACK and numpy warnings write
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {spec_file}, key b1: node entries must be finite\n"
+    assert not csv.exists()
+
+
 def test_matching_solve_failure_exit_3(capsys, monkeypatch):
     monkeypatch.setattr(mpfsim.mpf, "MATCHING_MAX_ITERATIONS", 1)
     monkeypatch.setattr(mpfsim.mpf, "MATCHING_RESIDUAL_TARGET", 1e-300)
@@ -130,6 +149,19 @@ def test_unknown_method_exit_2(capsys):
     code, _, err = run(capsys, "bounds", "--methods", "nonsense")
     assert code == 2
     assert "unknown method" in err
+
+
+BAD_WINDOWS = [("nan", "10"), ("0.001", "nan"), ("0.001", "inf"), ("inf", "10"), ("-1", "10"), ("0", "10"), ("2", "1")]
+
+
+@pytest.mark.parametrize("lo, hi", BAD_WINDOWS)
+def test_bounds_rejects_a_tau_grid_that_is_not_finite_and_ascending(capsys, tmp_path, lo, hi):
+    csv = tmp_path / "b.csv"
+    code, out, err = run(capsys, "bounds", "--methods", "ts,cf", "--tau-min", lo, "--tau-max", hi, "--csv", str(csv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --tau-min and --tau-max must be finite with 0 < min < max")
+    assert not csv.exists()
 
 
 def test_bounds_csv_schema_and_determinism(capsys, tmp_path):
@@ -181,6 +213,19 @@ def test_distance_toy_within_bounds(capsys, tmp_path):
         by_key.setdefault((tau, method), {})[kind] = float(value)
     for pair in by_key.values():
         assert pair["distance"] <= pair["bound"] + 1e-12
+
+
+@pytest.mark.parametrize("lo, hi", BAD_WINDOWS)
+def test_distance_rejects_a_tau_grid_that_is_not_finite_and_ascending(capsys, tmp_path, lo, hi):
+    csv = tmp_path / "d.csv"
+    code, out, err = run(
+        capsys, "distance", "--model", "toy", "--methods", "ts,cf", "--chi", "1", "--reps", "2",
+        "--tau-min", lo, "--tau-max", hi, "--tau-points", "4", "--csv", str(csv),
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --tau-min and --tau-max must be finite with 0 < min < max")
+    assert not csv.exists()
 
 
 def test_distance_config_file(capsys, tmp_path):
@@ -403,6 +448,18 @@ def test_optimize_config_file(capsys, tmp_path):
     assert "kind = matching" in out and "hops = 1" in out
 
 
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+def test_sample_rejects_a_non_finite_tau(capsys, tau):
+    args = ["sample", "--kind", "cw", "--chi", "1", "--K", "1", "--epsilon", "0.3", "--delta", "0.2"]
+    code, out, err = run(capsys, *args, f"--tau={tau}")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --tau must be finite, got {float(tau)!r}\n"
+    code, out, _ = run(capsys, *args, "--tau=-0.1")  # a negative tau runs backwards in time
+    assert code == 0
+    assert "tau = -0.10000000000000001" in out
+
+
 def test_sample_seeded_rerun_identical(capsys):
     args = [
         "sample", "--model", "toy", "--observable", "Z", "--kind", "cw", "--chi", "1",
@@ -483,6 +540,14 @@ def test_slope_insufficient_window_exit_3(capsys):
     )
     assert code == 3
     assert "slope fit failed" in out
+
+
+@pytest.mark.parametrize("lo, hi", BAD_WINDOWS)
+def test_slope_rejects_a_window_that_is_not_finite_and_ascending(capsys, lo, hi):
+    code, out, err = run(capsys, "slope", "--method", "ts", "--chi", "1", "--model", "toy", "--t-min", lo, "--t-max", hi)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --t-min and --t-max must be finite with 0 < min < max")
 
 
 @pytest.mark.parametrize("buffered", [True, False])

@@ -1,3 +1,4 @@
+import functools
 import os
 import subprocess
 import sys
@@ -12,11 +13,13 @@ from hypothesis import strategies as st
 import mpfsim.sampling
 from mpfsim.bounds import hoeffding_shots
 from mpfsim.ensembles import materialize, mixture_mean
+from mpfsim.models import build_model
 from mpfsim.mpf import cw_coefficients, mpf_ensemble, mpf_matrix
 from mpfsim.operators import (
     QuantumState,
     expectation,
     hamiltonian,
+    lambda_norm,
     observable,
     pauli_string,
     sandwich,
@@ -322,30 +325,61 @@ def test_shot_rng_rejects_shot_outside_64_bits(index):
         shot_rng(0, 0, index)
 
 
-def distinct_outcome_observable():
-    """An observable on two qubits whose 2 dim signed outcomes +-lambda_i are all distinct."""
-    q = np.linalg.qr(_random_matrix(np.random.default_rng(11), 4))[0]
-    return observable(q @ np.diag([0.9, 0.5, -0.3, 0.1]) @ q.conj().T)
+def distinct_outcome_observable(dim=4):
+    """An observable whose 2 dim signed outcomes +-lambda_i are all distinct."""
+    q = np.linalg.qr(_random_matrix(np.random.default_rng(11), dim))[0]
+    w = [0.9, 0.5, -0.3, 0.1] if dim == 4 else np.linspace(-0.95, 0.9, dim)
+    return observable(q @ np.diag(w) @ q.conj().T)
 
 
-def reference_sampler(kind, state, O=None):
-    H = hamiltonian([pauli_string("XI"), pauli_string("ZZ"), pauli_string("IY")], label="toy3")
-    if kind == "cw":
-        spec = cw_coefficients(2, 2)
+@functools.cache
+def _syk_cf_ensemble():
+    """The sample-syk-cf benchmark's SYK(10) and its cf ensemble at chi 2, R 3 on default nodes, tau 1."""
+    H = build_model("syk", N=10, seed=1)
+    spec = spec_from_b("cf", 2, 3, default_initial_b(2, 3, "cf"))
+    return H, materialize(mpf_ensemble(spec, H.L), H, 1.0 / lambda_norm(H))
+
+
+def reference_sampler(kind, state, distinct=False):
+    """(mat, rho, O) of a formula kind on toy3, or of "syk-cf", the sample-syk-cf benchmark's sampler.
+
+    "syk-cf" has dim 32, 2,379 combinations and observable ZIIII.  The
+    "rank8" state is a mixed state of rank 8; toy3 grows by two qubits to
+    hold it (dim 16).  With ``distinct`` the observable has 2 dim distinct
+    signed outcomes.
+    """
+    if kind == "syk-cf":
+        H, mat = _syk_cf_ensemble()
+        pauli, basis_index = "ZIIII", 0
     else:
-        spec = spec_from_b(kind, 2, 2, default_initial_b(2, 2, kind))
-    mat = materialize(mpf_ensemble(spec, H.L), H, 0.41)
+        if state == "rank8":
+            H = hamiltonian([pauli_string(p) for p in ("XIII", "ZZII", "IYII", "IZXI", "IIYX")], label="toy3+2")
+            pauli = "ZXII"
+        else:
+            H = hamiltonian([pauli_string("XI"), pauli_string("ZZ"), pauli_string("IY")], label="toy3")
+            pauli = "ZX"
+        if kind == "cw":
+            spec = cw_coefficients(2, 2)
+        else:
+            spec = spec_from_b(kind, 2, 2, default_initial_b(2, 2, kind))
+        mat = materialize(mpf_ensemble(spec, H.L), H, 0.41)
+        basis_index = 1
     if state == "pure":
-        rho = QuantumState.basis(H.dim, 1)
-    else:
-        v = np.linalg.qr(np.random.default_rng(8).normal(size=(4, 2)))[0]
+        rho = QuantumState.basis(H.dim, basis_index)
+    elif state == "mixed":
+        v = np.linalg.qr(np.random.default_rng(8).normal(size=(H.dim, 2)))[0]
         rho = QuantumState.mixed(0.7 * np.outer(v[:, 0], v[:, 0]) + 0.3 * np.outer(v[:, 1], v[:, 1]))
-        assert rho.factor.shape == (4, 2)
-    return mat, rho, observable(pauli_string("ZX")) if O is None else O
+        assert rho.factor.shape == (H.dim, 2)
+    else:
+        a = _random_matrix(np.random.default_rng(9), H.dim)[:, :8]
+        dm = a @ a.conj().T
+        rho = QuantumState.mixed(dm / np.trace(dm).real)
+        assert rho.factor.shape == (H.dim, 8)
+    return mat, rho, distinct_outcome_observable(H.dim) if distinct else observable(pauli_string(pauli))
 
 
-@pytest.mark.parametrize("state", ["pure", "mixed"])
-@pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
+@pytest.mark.parametrize("state", ["pure", "mixed", "rank8"])
+@pytest.mark.parametrize("kind", ["cw", "matching", "cf", "syk-cf"])
 def test_single_shot_matches_reference_bitwise(kind, state):
     mat, rho, O = reference_sampler(kind, state)
     sampler = prepare_sampler(mat, rho, O)
@@ -401,9 +435,8 @@ def test_prepared_table_matches_enumeration(toy2q, kind, state):
 @pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
 def test_born_index_matches_reference_on_distinct_outcomes(kind, state):
     """Every Born index maps to its own outcome, so a neighbouring index cannot pass."""
-    O = distinct_outcome_observable()
+    mat, rho, O = reference_sampler(kind, state, distinct=True)
     assert len(set(np.concatenate([O.eigenvalues, -O.eigenvalues]).tolist())) == 8
-    mat, rho, O = reference_sampler(kind, state, O)
     sampler = prepare_sampler(mat, rho, O)
     records = [single_shot(sampler, shot_rng(13, 2, j)) for j in range(600)]
     references = [reference_shot(sampler, shot_rng(13, 2, j)) for j in range(600)]
@@ -451,11 +484,11 @@ def test_batch_uniforms_are_numpy_philox(seed, stream, j0, n):
 
 
 @pytest.mark.parametrize("distinct", [False, True])
-@pytest.mark.parametrize("state", ["pure", "mixed"])
-@pytest.mark.parametrize("kind", ["cw", "matching", "cf"])
+@pytest.mark.parametrize("state", ["pure", "mixed", "rank8"])
+@pytest.mark.parametrize("kind", ["cw", "matching", "cf", "syk-cf"])
 def test_run_estimator_mean_is_the_reference_loop_at_batch_edges(kind, state, distinct):
     """Bitwise, so the terms must be added in shot order; +-1 outcomes add exactly in any order."""
-    mat, rho, O = reference_sampler(kind, state, distinct_outcome_observable() if distinct else None)
+    mat, rho, O = reference_sampler(kind, state, distinct)
     sampler = prepare_sampler(mat, rho, O)
     batch = sampler.batch_shots
     block = mpfsim.sampling._UNIFORM_BLOCK
@@ -501,20 +534,20 @@ def test_run_estimator_refuses_a_stream_outside_64_bits(cw_setup, stream):
 
 def test_signed_sum_memory_is_flat_in_the_shot_count(cw_setup):
     _, _, mat, O, rho = cw_setup
-    sampler = prepare_sampler(mat, rho, O)
+    for sampler in (prepare_sampler(mat, rho, O), prepare_sampler(*reference_sampler("syk-cf", "pure"))):
 
-    def peak(n):
-        tracemalloc.start()
-        try:
-            mpfsim.sampling._signed_sum(sampler, n, 17, 0)
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        def peak(n):
+            tracemalloc.start()
+            try:
+                mpfsim.sampling._signed_sum(sampler, n, 17, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-    peak(1)  # the check shots' first call imports numpy.random
-    small, large = peak(2_000), peak(200_000)
-    assert abs(large - small) <= 64 * 1024
-    assert large <= mpfsim.sampling.BATCH_BYTES
+        peak(1)  # the check shots' first call imports numpy.random
+        small, large = peak(2_000), peak(200_000)
+        assert abs(large - small) <= 64 * 1024
+        assert large <= mpfsim.sampling.BATCH_BYTES
 
 
 # Batched terms against the reference shot at every address, for each kind,
@@ -529,15 +562,15 @@ import numpy as np
 import mpfsim.sampling as sampling
 from platforms import cpu_features
 from references import reference_shot
-from test_sampling import distinct_outcome_observable, reference_sampler
+from test_sampling import reference_sampler
 
 still_on = [f for f in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if cpu_features().get(f)]
 if still_on:
     raise SystemExit(f"features not disabled: {still_on}")
-for kind in ("cw", "matching", "cf"):
-    for state in ("pure", "mixed"):
-        for O in (None, distinct_outcome_observable()):
-            mat, rho, O = reference_sampler(kind, state, O)
+for kind in ("cw", "matching", "cf", "syk-cf"):
+    for state in ("pure", "mixed", "rank8"):
+        for distinct in (False, True):
+            mat, rho, O = reference_sampler(kind, state, distinct)
             sampler = sampling.prepare_sampler(mat, rho, O)
             signs, outcomes = sampling._shots(sampler, sampling._uniforms(13, 2, 0, 600))
             records = [reference_shot(sampler, sampling.shot_rng(13, 2, j)) for j in range(600)]
