@@ -212,8 +212,9 @@ def _shots(sampler: PreparedSampler, u: np.ndarray) -> tuple[np.ndarray, np.ndar
         probs = np.abs(arms)
         del arms
         probs **= 2
-        # sums run along the contiguous last axis: the rank, then each shot's Born row
-        probs = probs.sum(axis=3)
+        # sums run along the contiguous last axis: the rank, then each shot's Born row;
+        # a sum of one rank term is that term
+        probs = probs.sum(axis=3) if probs.shape[3] > 1 else probs[..., 0]
         probs *= 0.25
         probs = np.ascontiguousarray(probs.transpose(1, 0, 2)).reshape(m, -1)
         threshold = u[k : k + m, 4] * probs.sum(axis=1)
