@@ -24,10 +24,10 @@ many shots as the rows of one array and picks both arms' branches and
 combinations for all of them at once, with ``np.searchsorted``, as rows of
 one amplitude table that holds every branch's combinations.  It then Born
 samples them in batches of ``batch_shots`` rows: each shot's threshold is
-the fifth uniform times its row's sum, the prefix sums of the rows are
-``np.cumsum``'s, added in its order but across shots in an outcome-major
-copy, and they are compared with the threshold only where a run of equal
-outcomes ends, so a Pauli observable costs two comparisons a shot.
+the fifth uniform times its row's sum, and the ``np.cumsum`` prefix sums of
+the rows, taken up to the last run end, are compared with the threshold only
+where a run of equal outcomes ends, so a Pauli observable costs two
+comparisons a shot.
 :func:`single_shot` is its batch of one.  :func:`run_estimator` hands it one
 block of shots at a time: a block's uniforms come from one pass of
 Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -140,7 +140,8 @@ def prepare_sampler(mat: MaterializedEnsemble, rho: QuantumState, O: Observable)
     bits = outcomes.view(np.uint64)  # so +0.0 and -0.0 keep runs of their own
     run_ends = np.flatnonzero(bits[1:] != bits[:-1])
     # every array of a Born batch: the gathered arms and their difference,
-    # |.|^2 by rank, the Born rows in three layouts and five per-shot vectors
+    # |.|^2 by rank, the Born rows in two layouts and their prefix sums, and
+    # five per-shot vectors
     per_shot = 16 * 3 * dim * rank + 8 * 2 * dim * rank + 8 * 3 * 2 * dim + 40
     return PreparedSampler(
         branch_cum=np.cumsum([br.probability for br in mat.branches]),
@@ -165,20 +166,10 @@ def _born_runs(probs: np.ndarray, threshold: np.ndarray, run_ends: np.ndarray) -
     """For each row, how many run ends have a prefix sum of probs below threshold.
 
     That is the run holding the first index whose prefix sum reaches the
-    threshold, since prefix sums of non-negative terms do not fall.  The
-    prefix sums are ``np.cumsum``'s, added in its sequential order, but
-    across all rows at once in an outcome-major copy.
+    threshold, since prefix sums of non-negative terms do not fall.
     """
-    cols = np.ascontiguousarray(probs[:, : run_ends[-1] + 1].T)
-    below = np.empty((len(run_ends), len(threshold)), dtype=bool)
-    acc = cols[0]  # the running sum, in place of the copy's first row
-    start = 1
-    for end, out in zip(run_ends, below):
-        for row in cols[start : end + 1]:
-            acc += row
-        np.less(acc, threshold, out=out)
-        start = end + 1
-    return np.count_nonzero(below, axis=0)
+    cum = np.cumsum(probs[:, : run_ends[-1] + 1], axis=1)
+    return np.count_nonzero(cum[:, run_ends] < threshold[:, None], axis=1)
 
 
 def _draw(sampler: PreparedSampler, u: np.ndarray) -> np.ndarray:
@@ -212,9 +203,8 @@ def _shots(sampler: PreparedSampler, u: np.ndarray) -> tuple[np.ndarray, np.ndar
         probs = np.abs(arms)
         del arms
         probs **= 2
-        # sums run along the contiguous last axis: the rank, then each shot's Born row;
-        # a sum of one rank term is that term
-        probs = probs.sum(axis=3) if probs.shape[3] > 1 else probs[..., 0]
+        # sums run along the contiguous last axis: the rank, then each shot's Born row
+        probs = probs.sum(axis=3)
         probs *= 0.25
         probs = np.ascontiguousarray(probs.transpose(1, 0, 2)).reshape(m, -1)
         threshold = u[k : k + m, 4] * probs.sum(axis=1)

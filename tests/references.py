@@ -260,6 +260,24 @@ def coverage_experiment(mat, rho, O, epsilon, delta, trials, seed):
     return hits / trials
 
 
+def reference_branch_tables(mat, rho, O):
+    """Each branch's (combo_cum, combo_signs, combo_amps) as ``prepare_sampler`` built them one branch at a time.
+
+    Every branch's amplitudes are their own ``basis @ vecs`` product, not
+    rows of one shared table.
+    """
+    basis = O.eigenvectors.conj().T
+    tables = []
+    for br in mat.branches:
+        probs, signs, vecs = np.ones(1), np.ones(1), rho.factor[None]
+        for p, s, m in reversed(list(zip(br.layer_probs, br.layer_signs, br.layer_matrices))):
+            probs = np.multiply.outer(p, probs).ravel()
+            signs = np.multiply.outer(s, signs).ravel()
+            vecs = (m[:, None] @ vecs[None]).reshape(-1, *rho.factor.shape)
+        tables.append((np.cumsum(probs), signs, basis @ vecs))
+    return tables
+
+
 def _draw(sampler, rng):
     branch = int(np.searchsorted(sampler.branch_cum, rng.random() * sampler.branch_cum[-1]))
     branch = min(branch, len(sampler.branches) - 1)

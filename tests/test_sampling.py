@@ -34,7 +34,13 @@ from mpfsim.sampling import (
     single_shot,
 )
 from platforms import cpu_features
-from references import coverage_experiment, enumerate_combos, lemma_closeness_check, reference_shot
+from references import (
+    coverage_experiment,
+    enumerate_combos,
+    lemma_closeness_check,
+    reference_branch_tables,
+    reference_shot,
+)
 
 Z1 = pauli_string("Z")
 
@@ -383,6 +389,9 @@ def reference_sampler(kind, state, distinct=False):
 def test_single_shot_matches_reference_bitwise(kind, state):
     mat, rho, O = reference_sampler(kind, state)
     sampler = prepare_sampler(mat, rho, O)
+    tables = [(br.combo_cum, br.combo_signs, br.combo_amps) for br in sampler.branches]
+    for table, reference in zip(tables, reference_branch_tables(mat, rho, O), strict=True):
+        assert [(a.shape, a.tobytes()) for a in table] == [(a.shape, a.tobytes()) for a in reference]
     records = [single_shot(sampler, shot_rng(13, 2, j)) for j in range(600)]
     assert records == [reference_shot(sampler, shot_rng(13, 2, j)) for j in range(600)]
     assert len({rec.outcome for rec in records}) > 1
